@@ -14,6 +14,8 @@
 //! provenance. When histograms are armed, the full bucket arrays go to a
 //! companion `results/<figure>.hist.jsonl`.
 
+#![forbid(unsafe_code)]
+
 pub mod figures;
 pub mod validate;
 

@@ -32,6 +32,8 @@
 //!   single outstanding request are serviced first, regardless of score, so
 //!   the imminent drain strands no nearly-complete warp.
 
+#![forbid(unsafe_code)]
+
 pub mod coord;
 pub mod score;
 pub mod wg;

@@ -139,6 +139,10 @@ pub struct WarpGroupPolicy {
     /// Live groups with exactly one pending request, ordered by `seq`
     /// (WG-W's unit-group pre-drain pick).
     unit_by_seq: BTreeMap<u64, WarpGroupId>,
+    /// Live groups holding a `remote_cap` entry, ordered by `seq` (WG-M):
+    /// the bypass scores these for the cap counter even when they cannot
+    /// schedule.
+    capped_by_seq: BTreeMap<u64, WarpGroupId>,
     /// Per bank: row → pending-request tally (the MERB gate's index).
     row_tally: Vec<FnvHashMap<u32, RowTally>>,
     /// Route picks through the original scan-based implementations instead
@@ -147,7 +151,6 @@ pub struct WarpGroupPolicy {
     reference_picks: bool,
     /// Reusable pick-path scratch (avoids per-pick allocation).
     scratch_ids: Vec<WarpGroupId>,
-    scratch_scored: Vec<(GroupScore, WarpGroupId)>,
     /// Stats: MERB substitutions performed (row-hits inserted before a
     /// gated row-miss).
     pub merb_substitutions: u64,
@@ -195,10 +198,10 @@ impl WarpGroupPolicy {
             shared_promotions: 0,
             by_seq: BTreeMap::new(),
             unit_by_seq: BTreeMap::new(),
+            capped_by_seq: BTreeMap::new(),
             row_tally: vec![FnvHashMap::default(); num_banks],
             reference_picks: false,
             scratch_ids: Vec::new(),
-            scratch_scored: Vec::new(),
         }
     }
 
@@ -228,6 +231,13 @@ impl WarpGroupPolicy {
             if e.reqs.len() == 1 {
                 assert_eq!(self.unit_by_seq.get(&e.seq), Some(wg));
             }
+            if self.remote_cap.contains_key(wg) {
+                assert_eq!(self.capped_by_seq.get(&e.seq), Some(wg));
+            }
+        }
+        for (seq, wg) in &self.capped_by_seq {
+            assert_eq!(self.groups[wg].seq, *seq, "capped index stale");
+            assert!(self.remote_cap.contains_key(wg));
         }
         let mut want: std::collections::BTreeMap<(usize, u32, u64), u32> = Default::default();
         for (wg, e) in &self.groups {
@@ -276,6 +286,7 @@ impl WarpGroupPolicy {
                 self.shared.remove(&wg);
                 self.by_seq.remove(&seq);
                 self.unit_by_seq.remove(&seq);
+                self.capped_by_seq.remove(&seq);
                 if self.active == Some(wg) {
                     self.active = None;
                 }
@@ -312,19 +323,18 @@ impl WarpGroupPolicy {
     /// controller) win score ties, finishing the warp instead of starting
     /// a new one (the intent of Section IV-C).
     fn effective_score(&mut self, wg: WarpGroupId, view: &PolicyView<'_>) -> (GroupScore, bool) {
-        let entry = &self.groups[&wg];
-        let mut s = group_score(&entry.reqs, view, &mut self.scratch);
-        let mut capped = false;
-        if self.flags.coordinate {
-            if let Some(&cap) = self.remote_cap.get(&wg) {
-                if cap < s.score {
-                    s.score = cap;
-                    capped = true;
-                    self.coord_cap_applied += 1;
-                }
-            }
-        }
-        (s, capped)
+        let cap = if self.flags.coordinate {
+            self.remote_cap.get(&wg).copied()
+        } else {
+            None
+        };
+        capped_score(
+            &self.groups[&wg].reqs,
+            cap,
+            view,
+            &mut self.scratch,
+            &mut self.coord_cap_applied,
+        )
     }
 
     /// Select the best complete group by bank-aware SJF; fall back to the
@@ -411,17 +421,7 @@ impl WarpGroupPolicy {
     /// (they stream immediately), then the miss on the least-loaded bank.
     fn pick_from_group(&mut self, wg: WarpGroupId, view: &PolicyView<'_>) -> Option<MemRequest> {
         let entry = self.groups.get(&wg)?;
-        let mut best: Option<(u32, usize)> = None;
-        for (i, r) in entry.reqs.iter().enumerate() {
-            if !view.headroom_ok(&r.decoded) {
-                continue;
-            }
-            let s = view.request_score(&r.decoded);
-            if best.map(|(bs, _)| s < bs).unwrap_or(true) {
-                best = Some((s, i));
-            }
-        }
-        let (_, idx) = best?;
+        let idx = best_request(&entry.reqs, view)?;
         // WG-Bw: if the chosen request is a row-miss, the MERB gate may
         // substitute a row-hit from another group on the same bank.
         if self.flags.merb {
@@ -520,64 +520,103 @@ impl WarpGroupPolicy {
     /// are full). Pull one schedulable request from the lowest-score other
     /// group rather than idling banks.
     ///
-    /// Candidate order: complete non-active groups (incomplete ones only
-    /// when no complete group exists — the tie-break the
+    /// Candidates: complete non-active groups (incomplete ones only when no
+    /// complete group exists — the tie-break the
     /// `bypass_prefers_complete_groups_over_better_scored_incomplete` test
-    /// pins), best score first, seq as the stable tie-break. Like
-    /// [`Self::select_group`], every candidate is scored — the WG-M cap
-    /// counter makes the candidate set observable — but the indexed path
-    /// walks `by_seq` (already oldest-first, so the pre-sort disappears)
-    /// and reuses the two scratch buffers instead of allocating per pick.
+    /// pins). The winner is the best-scored candidate holding a request that
+    /// passes `headroom_ok`, the oldest on score ties: one walk of `by_seq`
+    /// (already oldest-first) keeping the first strictly better candidate
+    /// equals the reference's stable sort followed by its first-schedulable
+    /// walk. Scoring has one observable side effect — the WG-M cap counter —
+    /// so a candidate is scored only when that can matter: when it is
+    /// schedulable, or when it holds a remote cap (`capped_by_seq`).
+    ///
+    /// Most calls find nothing (DESIGN.md §13), so a per-bank test runs
+    /// first: when no bank could accept any request outside the active
+    /// group, only the cap count remains to be done.
     fn pick_bypass(&mut self, view: &PolicyView<'_>) -> Option<MemRequest> {
         let active = self.active;
-        let mut ids = std::mem::take(&mut self.scratch_ids);
-        ids.clear();
-        ids.extend(
-            self.by_seq
-                .values()
-                .filter(|wg| Some(**wg) != active && view.groups.is_complete(**wg)),
-        );
-        if ids.is_empty() {
-            ids.extend(self.by_seq.values().filter(|wg| Some(**wg) != active));
+        let open = self.others_schedulable(view);
+        if !open && self.capped_by_seq.is_empty() {
+            return None;
         }
-        // `by_seq` iterates oldest-first: `ids` is already seq-sorted.
-        let mut scored = std::mem::take(&mut self.scratch_scored);
-        scored.clear();
-        for &wg in &ids {
-            let s = self.effective_score(wg, view).0;
-            scored.push((s, wg));
-        }
-        // Stable sort: within equal scores the seq order above survives.
-        scored.sort_by(|a, b| {
-            if a.0.better_than(&b.0) {
-                std::cmp::Ordering::Less
-            } else if b.0.better_than(&a.0) {
-                std::cmp::Ordering::Greater
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        });
-        let mut found: Option<(WarpGroupId, usize)> = None;
-        for &(_, wg) in scored.iter() {
-            let entry = &self.groups[&wg];
-            let mut best: Option<(u32, usize)> = None;
-            for (i, r) in entry.reqs.iter().enumerate() {
-                if !view.headroom_ok(&r.decoded) {
-                    continue;
-                }
-                let s = view.request_score(&r.decoded);
-                if best.map(|(bs, _)| s < bs).unwrap_or(true) {
-                    best = Some((s, i));
-                }
-            }
-            if let Some((_, idx)) = best {
-                found = Some((wg, idx));
-                break;
+        let all = !self
+            .by_seq
+            .values()
+            .any(|&wg| Some(wg) != active && view.groups.is_complete(wg));
+        let candidate =
+            |wg: WarpGroupId| Some(wg) != active && (all || view.groups.is_complete(wg));
+        let schedulable = |e: &GroupEntry| e.reqs.iter().any(|r| view.headroom_ok(&r.decoded));
+        // Capped candidates that cannot schedule are scored for the cap
+        // counter alone; the schedulable ones are scored by the walk below.
+        for &wg in self.capped_by_seq.values() {
+            let e = &self.groups[&wg];
+            if candidate(wg) && !(open && schedulable(e)) {
+                capped_score(
+                    &e.reqs,
+                    self.remote_cap.get(&wg).copied(),
+                    view,
+                    &mut self.scratch,
+                    &mut self.coord_cap_applied,
+                );
             }
         }
-        self.scratch_ids = ids;
-        self.scratch_scored = scored;
-        found.map(|(wg, idx)| self.take_req(wg, idx))
+        if !open {
+            return None;
+        }
+        let mut best: Option<(GroupScore, WarpGroupId)> = None;
+        for &wg in self.by_seq.values() {
+            let e = &self.groups[&wg];
+            if !schedulable(e) || !candidate(wg) {
+                continue;
+            }
+            let (s, _) = capped_score(
+                &e.reqs,
+                self.remote_cap.get(&wg).copied(),
+                view,
+                &mut self.scratch,
+                &mut self.coord_cap_applied,
+            );
+            if best.is_none_or(|(bs, _)| s.better_than(&bs)) {
+                best = Some((s, wg));
+            }
+        }
+        let (_, wg) = best?;
+        let idx = best_request(&self.groups[&wg].reqs, view).expect("schedulable winner");
+        Some(self.take_req(wg, idx))
+    }
+
+    /// Could any group other than the active one schedule a request now?
+    /// Per bank (`headroom_ok`: 3 command slots for a miss, 1 for a hit):
+    /// with room for a miss, any pending request outside the active group
+    /// qualifies; with room for a hit only, a pending hit on the open row
+    /// outside the active group does. `false` is exact: then every
+    /// non-active request fails `headroom_ok`.
+    fn others_schedulable(&self, view: &PolicyView<'_>) -> bool {
+        let mine: &[MemRequest] = self
+            .active
+            .and_then(|wg| self.groups.get(&wg))
+            .map_or(&[], |e| &e.reqs);
+        view.banks.iter().enumerate().any(|(b, snap)| {
+            let pending = self.bank_count[b];
+            if pending == 0 || snap.headroom == 0 {
+                return false;
+            }
+            if snap.headroom >= 3 {
+                let own = mine.iter().filter(|r| r.decoded.bank.0 as usize == b);
+                return pending > own.count();
+            }
+            let Some(row) = snap.last_scheduled_row else {
+                return false;
+            };
+            let Some(t) = self.row_tally[b].get(&row) else {
+                return false;
+            };
+            let own = mine
+                .iter()
+                .filter(|r| r.decoded.bank.0 as usize == b && r.decoded.row == row);
+            t.count as usize > own.count()
+        })
     }
 
     /// Original allocating scan-and-sort bypass (kept for `reference_picks`
@@ -675,6 +714,43 @@ impl WarpGroupPolicy {
     }
 }
 
+/// Bank-Table score of a group's requests, capped by the best remote score
+/// `cap` received for it (WG-M). The boolean says whether the cap engaged;
+/// each engagement is counted in `applied` (`coord_cap_applied`).
+fn capped_score(
+    reqs: &[MemRequest],
+    cap: Option<u32>,
+    view: &PolicyView<'_>,
+    scratch: &mut [u32],
+    applied: &mut u64,
+) -> (GroupScore, bool) {
+    let mut s = group_score(reqs, view, scratch);
+    match cap {
+        Some(cap) if cap < s.score => {
+            s.score = cap;
+            *applied += 1;
+            (s, true)
+        }
+        _ => (s, false),
+    }
+}
+
+/// Index of the group's best schedulable request: the lowest Bank-Table
+/// request score among those passing `headroom_ok`, the first on ties.
+fn best_request(reqs: &[MemRequest], view: &PolicyView<'_>) -> Option<usize> {
+    let mut best: Option<(u32, usize)> = None;
+    for (i, r) in reqs.iter().enumerate() {
+        if !view.headroom_ok(&r.decoded) {
+            continue;
+        }
+        let s = view.request_score(&r.decoded);
+        if best.is_none_or(|(bs, _)| s < bs) {
+            best = Some((s, i));
+        }
+    }
+    best.map(|(_, i)| i)
+}
+
 impl Policy for WarpGroupPolicy {
     fn name(&self) -> &'static str {
         self.name
@@ -701,6 +777,9 @@ impl Policy for WarpGroupPolicy {
             1 => {
                 self.by_seq.insert(gseq, wg);
                 self.unit_by_seq.insert(gseq, wg);
+                if self.remote_cap.contains_key(&wg) {
+                    self.capped_by_seq.insert(gseq, wg);
+                }
             }
             2 => {
                 self.unit_by_seq.remove(&gseq);
@@ -798,6 +877,7 @@ impl Policy for WarpGroupPolicy {
         }
         self.by_seq.remove(&entry.seq);
         self.unit_by_seq.remove(&entry.seq);
+        self.capped_by_seq.remove(&entry.seq);
         for r in &entry.reqs {
             self.bank_count[r.decoded.bank.0 as usize] -= 1;
             self.total -= 1;
@@ -821,6 +901,9 @@ impl Policy for WarpGroupPolicy {
         // the group while its requests are still in flight toward us.
         let e = self.remote_cap.entry(msg.wg).or_insert(u32::MAX);
         *e = (*e).min(msg.score);
+        if let Some(g) = self.groups.get(&msg.wg) {
+            self.capped_by_seq.insert(g.seq, msg.wg);
+        }
         // Bounded state: sweep entries for long-gone groups occasionally.
         if self.remote_cap.len() > 4 * self.groups.len() + 1024 {
             let groups = &self.groups;
@@ -1396,15 +1479,21 @@ mod tests {
         assert_eq!(c[0], 1, "one group selected");
     }
 
-    /// Satellite property test (PR 1 seeded-loop convention): drive an
-    /// indexed policy and a `reference_picks` twin through the same random
-    /// operation stream — arrivals, picks under randomly mutated bank
-    /// snapshots, coordination, sharing, group removal, aging — for every
-    /// combination of the four WG flags, and require identical picks,
-    /// identical counters, and intact incremental indexes throughout.
+    /// Seeded property test: drive an indexed policy and a
+    /// `reference_picks` twin through the same random operation stream —
+    /// arrivals, picks under randomly mutated bank snapshots, coordination,
+    /// sharing, group removal, aging — for every combination of the four WG
+    /// flags, and require identical picks, identical counters after every
+    /// pick, and intact incremental indexes throughout.
+    ///
+    /// The second half of each stream is saturated: nine banks in ten have
+    /// no command slot free, the regime of contended full-size runs, where
+    /// the bypass mostly finds nothing (its per-bank early-out) and WG-M
+    /// still counts cap engagements of the blocked candidates.
     #[test]
     fn indexed_picks_match_reference_scans_under_random_ops() {
         use ldsim_util::StdRng;
+        let mut blocked_picks = 0u32;
         for combo in 0u8..16 {
             let flags = WgFlags {
                 coordinate: combo & 1 != 0,
@@ -1421,7 +1510,8 @@ mod tests {
                 let mut now: Cycle = 0;
                 let mut live: Vec<WarpGroupId> = Vec::new();
                 let mut serial = 0u32;
-                for step in 0..600 {
+                for step in 0..1200 {
+                    let saturated = step >= 600;
                     match rng.gen_range(0u32..100) {
                         // Arrivals: a fresh group, possibly left incomplete,
                         // possibly completed through upstream absorption.
@@ -1449,7 +1539,13 @@ mod tests {
                         45..=79 => {
                             for b in 0..16 {
                                 let s = &mut f.banks[b];
-                                s.headroom = if rng.gen_bool(0.2) {
+                                s.headroom = if saturated {
+                                    if rng.gen_bool(0.9) {
+                                        0
+                                    } else {
+                                        rng.gen_range(1usize..=8)
+                                    }
+                                } else if rng.gen_bool(0.2) {
                                     rng.gen_range(0usize..3)
                                 } else {
                                     rng.gen_range(3usize..=8)
@@ -1474,6 +1570,15 @@ mod tests {
                                 b.as_ref().map(|r| (r.id, r.wg)),
                                 "pick diverged: flags={flags:?} seed={seed} step={step}"
                             );
+                            assert_eq!(
+                                Policy::counters(&idx),
+                                Policy::counters(&rf),
+                                "counters diverged: flags={flags:?} seed={seed} step={step}"
+                            );
+                            assert_eq!(idx.shared_promotions, rf.shared_promotions);
+                            if saturated && a.is_none() && idx.pending() > 0 {
+                                blocked_picks += 1;
+                            }
                         }
                         // WG-M coordination from a phantom remote controller.
                         80..=87 => {
@@ -1526,19 +1631,19 @@ mod tests {
                         b.as_ref().map(|r| r.id),
                         "drain pick diverged: flags={flags:?} seed={seed}"
                     );
+                    assert_eq!(Policy::counters(&idx), Policy::counters(&rf));
+                    assert_eq!(idx.shared_promotions, rf.shared_promotions);
                     if a.is_none() {
                         break;
                     }
                 }
                 idx.check_index_invariants();
-                assert_eq!(
-                    Policy::counters(&idx),
-                    Policy::counters(&rf),
-                    "counters diverged: flags={flags:?} seed={seed}"
-                );
-                assert_eq!(idx.shared_promotions, rf.shared_promotions);
             }
         }
+        assert!(
+            blocked_picks > 100,
+            "saturated phase too idle: {blocked_picks}"
+        );
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! * [`power`] — a Micron-power-calculator-style GDDR5 power model used for
 //!   the Section VI-B energy analysis.
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod bank;
 pub mod channel;

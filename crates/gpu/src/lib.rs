@@ -17,6 +17,8 @@
 //! warp-group transfer-complete detection; Section IV-B.2) and arbitrates
 //! one flit per destination per cycle.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod coalescer;
 pub mod sm;

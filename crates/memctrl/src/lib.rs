@@ -29,6 +29,8 @@
 //! anywhere, the rest of the group's requests bypass bank timing and pay
 //! only data-bus bandwidth ([`Controller::fast_track_group`]).
 
+#![forbid(unsafe_code)]
+
 pub mod controller;
 pub mod group;
 pub mod policies;

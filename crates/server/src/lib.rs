@@ -23,6 +23,8 @@
 //! `unknown_figure`, `over_capacity`, …) — see DESIGN.md §19 for the full
 //! grammar and the framing of the stream body.
 
+#![forbid(unsafe_code)]
+
 pub mod exec;
 pub mod http;
 pub mod wire;

@@ -18,6 +18,8 @@
 //! divergence, bandwidth utilisation, row-hit rate, write intensity,
 //! drain-stall classification and the DRAM power estimate.
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 pub mod metrics;
 pub mod partition;

@@ -15,6 +15,8 @@
 //! * [`stats`] — counters, histograms and running means used by every
 //!   component's statistics.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod analytic;
 pub mod clock;

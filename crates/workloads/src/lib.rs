@@ -18,6 +18,8 @@
 //! `calibration` experiment binary asserts the suite's aggregate statistics
 //! stay inside the paper's reported ranges.
 
+#![forbid(unsafe_code)]
+
 pub mod gen;
 pub mod microbench;
 pub mod profile;

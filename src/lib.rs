@@ -34,6 +34,8 @@
 //! assert!(base.finished && wgw.finished);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use ldsim_gddr5 as gddr5;
 pub use ldsim_gpu as gpu;
 pub use ldsim_memctrl as memctrl;

@@ -80,6 +80,27 @@ fn indexed_picks_bitexact_small() {
     });
 }
 
+/// Tiny and Small grids are nearly contention-free, so the blocked-bypass
+/// regime (most picks find every bank's command queue full) barely shows
+/// there. Three contended Full cells pin it: the non-coordinating WG,
+/// and the two coordinating kinds whose cap counter the bypass must keep
+/// exact.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "Full-scale cells are slow without optimisation; run under --release"
+)]
+fn indexed_picks_bitexact_full_contended() {
+    parallel_map(
+        vec![
+            ("sp", SchedulerKind::WgW),
+            ("spmv", SchedulerKind::WgM),
+            ("sp", SchedulerKind::Wg),
+        ],
+        |(bench, kind)| assert_bitexact(bench, kind, Scale::Full, 1),
+    );
+}
+
 /// The WG-S (shared-aware) future-work scheme is outside the audited ladder
 /// but exercises the `shared` tie-break inside `select_group`; pin it too.
 #[test]
