@@ -8,8 +8,10 @@
 //! suite per scheduler. Full bucket arrays land in
 //! `results/histreport.hist.jsonl` via the shared dump path.
 
+use ldsim_bench::figures::{fetch, grid};
 use ldsim_bench::{cli, dump_json};
-use ldsim_system::runner::{cell, irregular_names, run_grid, PAPER_SCHEDULERS};
+use ldsim_system::runner::{irregular_names, PAPER_SCHEDULERS};
+use ldsim_system::sweep::{run_sweep, Cell, SweepConfig};
 use ldsim_system::table::Table;
 use ldsim_system::{run_opts, set_run_opts, RunHists, RunResult};
 
@@ -22,8 +24,12 @@ fn main() {
     opts.hist = true;
     set_run_opts(opts);
 
+    // Bench-major, scheduler-minor: the row order of the dump. No cache —
+    // armed histograms do not round-trip through it.
     let benches = irregular_names();
-    let grid = run_grid(&benches, PAPER_SCHEDULERS, scale, seed);
+    let cells = grid(&benches, PAPER_SCHEDULERS, scale, seed);
+    let (store, _) = run_sweep(&cells, &SweepConfig::default());
+    let cell = |b, k| store.get(&Cell::new(b, scale, seed, k));
 
     let mut header = vec!["benchmark".to_string()];
     header.extend(PAPER_SCHEDULERS.iter().map(|k| format!("{k:?}")));
@@ -42,7 +48,7 @@ fn main() {
         for &b in &benches {
             let mut row = vec![b.to_string()];
             for &k in PAPER_SCHEDULERS {
-                let (p50, p90, p99) = pick(cell(&grid, b, k));
+                let (p50, p90, p99) = pick(cell(b, k));
                 row.push(format!("{p50}/{p90}/{p99}"));
             }
             t.row(row);
@@ -56,7 +62,7 @@ fn main() {
     let mut merged: Vec<RunHists> = PAPER_SCHEDULERS.iter().map(|_| RunHists::new()).collect();
     for (i, &k) in PAPER_SCHEDULERS.iter().enumerate() {
         for &b in &benches {
-            let hists = cell(&grid, b, k)
+            let hists = cell(b, k)
                 .hists
                 .as_deref()
                 .expect("histreport arms histograms for every run");
@@ -85,10 +91,5 @@ fn main() {
     println!("histreport — hardware distributions, suite-merged (p50/p99)\n");
     t.print();
 
-    dump_json(
-        "histreport",
-        scale,
-        seed,
-        &grid.iter().map(|c| &c.result).collect::<Vec<_>>(),
-    );
+    dump_json("histreport", scale, seed, &fetch(&store, &cells));
 }

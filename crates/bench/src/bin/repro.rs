@@ -1,10 +1,10 @@
-//! One-command full reproduction: run every figure and table of the paper
-//! through the global sweep orchestrator.
+//! The one way to run the paper's figures and tables: every registered
+//! figure (or the `--only` selection) through the global sweep
+//! orchestrator.
 //!
-//! All registered figure grids are deduped into one unique-cell work list,
+//! All selected figure grids are deduped into one unique-cell work list,
 //! simulated in a single work-stealing pass, and rendered from the shared
-//! store — the same bytes every standalone figure binary writes, produced
-//! once. Completed cells persist in a content-addressed sharded cache
+//! store. Completed cells persist in a content-addressed sharded cache
 //! (`<out>/cellcache/`), so an interrupted run resumes where it died and a
 //! warm rerun re-renders everything without simulating at all. The same
 //! store backs the long-running `ldsim-server` farm, so farm rows and
@@ -13,14 +13,16 @@
 //! ```text
 //! repro [tiny|small|full] [--seed N] [--jobs N] [--threads N]
 //!       [--only fig08,fig11] [--out DIR] [--cold] [--resume]
-//!       [--audit] [--trace]
+//!       [--audit] [--trace] [--hist]
 //! ```
 //!
 //! `--cold` deletes the cell cache first; `--resume` is the default warm
 //! behaviour, spelled out (kept as an explicit flag so crash-recovery
 //! runbooks read naturally). The two contradict each other, so passing
-//! both is an error. `--hist` is rejected: distribution histograms do not
-//! round-trip through the cache — use the `histreport` binary.
+//! both is an error. `--hist` arms the distribution histograms and writes
+//! `<figure>.hist.jsonl` beside each figure's rows; histograms do not
+//! round-trip through the cell cache, so a `--hist` run simulates every
+//! selected cell afresh and neither reads nor writes the cache.
 
 use ldsim_bench::figures::registry;
 use ldsim_bench::{cli_fail, cli_parse, cli_pos, cli_value};
@@ -31,7 +33,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 const USAGE: &str = "repro [tiny|small|full] [--seed N] [--jobs N] [--threads N] \
-     [--only fig08,fig11] [--out DIR] [--cold] [--resume] [--audit] [--trace]";
+     [--only fig08,fig11] [--out DIR] [--cold] [--resume] [--audit] [--trace] [--hist]";
 
 fn main() {
     let mut scale = Scale::Small;
@@ -68,13 +70,19 @@ fn main() {
                 i += 1;
             }
             "--only" => {
-                only = Some(
-                    cli_value(&args, i, "--only", USAGE)
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .filter(|s| !s.is_empty())
-                        .collect(),
-                );
+                let v = cli_value(&args, i, "--only", USAGE);
+                let names: Vec<String> = v
+                    .split(',')
+                    .map(|s| s.trim().to_string())
+                    .filter(|s| !s.is_empty())
+                    .collect();
+                if names.is_empty() {
+                    cli_fail(
+                        USAGE,
+                        &format!("--only needs at least one figure name, got '{v}'"),
+                    );
+                }
+                only = Some(names);
                 i += 1;
             }
             "--cold" => cold = true,
@@ -82,12 +90,7 @@ fn main() {
             "--resume" => resume = true,
             "--audit" => opts.audit = true,
             "--trace" => opts.trace = true,
-            "--hist" => cli_fail(
-                USAGE,
-                "--hist is not supported by repro: distribution histograms do not \
-                 round-trip through the cell cache — run the standalone \
-                 `histreport` binary instead",
-            ),
+            "--hist" => opts.hist = true,
             other => cli_fail(USAGE, &format!("unknown argument '{other}'")),
         }
         i += 1;
@@ -115,9 +118,11 @@ fn main() {
         specs.retain(|s| names.iter().any(|n| n == s.name));
     }
 
-    let cache = out.join("cellcache");
-    if cold {
-        match std::fs::remove_dir_all(&cache) {
+    // Armed histograms do not round-trip through the cache: a --hist run
+    // simulates every cell afresh and leaves the cache untouched.
+    let cache = (!opts.hist).then(|| out.join("cellcache"));
+    if let Some(cache) = cache.as_deref().filter(|_| cold) {
+        match std::fs::remove_dir_all(cache) {
             Ok(()) => println!("cold start: removed {}", cache.display()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => panic!("cannot remove {}: {e}", cache.display()),
@@ -133,7 +138,7 @@ fn main() {
 
     let cells: Vec<_> = specs.iter().flat_map(|s| s.cells.iter().copied()).collect();
     let cfg = SweepConfig {
-        cache_path: Some(&cache),
+        cache_path: cache.as_deref(),
         salt: ENGINE_SALT,
         max_simulated,
         shards: ldsim_system::DEFAULT_SHARDS,
@@ -143,7 +148,9 @@ fn main() {
         specs.len(),
         ldsim_util::jobs(),
         ldsim_util::sim_threads(),
-        cache.display()
+        cache
+            .as_deref()
+            .map_or("off (--hist)".into(), |c| c.display().to_string())
     );
     let t0 = Instant::now();
     let (store, stats) = run_sweep(&cells, &cfg);

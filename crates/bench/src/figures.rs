@@ -1,15 +1,15 @@
 //! Every paper figure/table as a data-declared [`FigureSpec`]: the
 //! simulation grid as a list of [`Cell`]s plus a render closure that turns
-//! shared-store results into the exact stdout and `results/*.jsonl` bytes
-//! the standalone binary produced.
+//! shared-store results into the figure's stdout table and
+//! `results/<name>.jsonl` rows.
 //!
-//! The figure binaries are thin wrappers over [`standalone_main`]; the
-//! `repro` binary feeds the whole [`registry`] to
+//! The `repro` binary is the one way to run them: it feeds the selected
+//! part of the [`registry`] (`--only`, default all) to
 //! [`ldsim_system::run_sweep`] so shared cells (the irregular suite under
 //! GMC appears in six figures) simulate exactly once, then renders every
-//! figure from the one store. Byte-identity between the two paths is held
-//! by construction — the render closure *is* the binary's body — and
-//! enforced by the `repro` integration tests.
+//! selected figure from the one store. A figure renders the same bytes
+//! whether its cells came from a whole-registry sweep or a sweep of its
+//! own grid alone — enforced by the `repro` integration tests.
 
 use crate::{dump_json_to, speedup};
 use ldsim_system::runner::{irregular_names, regular_names, PAPER_SCHEDULERS};
@@ -19,10 +19,9 @@ use ldsim_system::RunResult;
 use ldsim_types::config::{Preset, SchedulerKind};
 use ldsim_types::stats::{geomean, mean};
 use ldsim_workloads::Scale;
-use std::path::Path;
 
-/// Every figure/table spec, in presentation order. `repro` runs them all;
-/// a standalone binary picks its own out of the list.
+/// Every figure/table spec, in presentation order. `repro` runs them all,
+/// or the ones `--only` names.
 pub fn registry(scale: Scale, seed: u64) -> Vec<FigureSpec> {
     vec![
         fig02(scale, seed),
@@ -51,28 +50,14 @@ pub fn registry(scale: Scale, seed: u64) -> Vec<FigureSpec> {
     ]
 }
 
-/// Run one named figure end-to-end exactly as its standalone binary did
-/// before the orchestrator existed: simulate its cells (no cache, shared
-/// kernels, parallel) and render into `results/`.
-pub fn run_standalone(name: &str, scale: Scale, seed: u64) {
-    let spec = registry(scale, seed)
-        .into_iter()
-        .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("no figure spec named '{name}'"));
-    let (store, _) = ldsim_system::run_sweep(&spec.cells, &ldsim_system::SweepConfig::default());
-    (spec.render)(&store, Path::new("results"));
-}
-
-/// The whole body of a figure binary: parse the shared CLI, then
-/// [`run_standalone`].
-pub fn standalone_main(name: &str) {
-    let (scale, seed) = crate::cli();
-    run_standalone(name, scale, seed);
-}
-
-/// Bench-major × scheduler-minor cell grid — `run_grid`'s (and therefore
-/// every grid figure's dump) order.
-fn grid(benches: &[&'static str], kinds: &[SchedulerKind], scale: Scale, seed: u64) -> Vec<Cell> {
+/// Bench-major × scheduler-minor cell grid — every grid figure's dump
+/// order.
+pub fn grid(
+    benches: &[&'static str],
+    kinds: &[SchedulerKind],
+    scale: Scale,
+    seed: u64,
+) -> Vec<Cell> {
     benches
         .iter()
         .flat_map(|&b| kinds.iter().map(move |&k| Cell::new(b, scale, seed, k)))
@@ -80,10 +65,12 @@ fn grid(benches: &[&'static str], kinds: &[SchedulerKind], scale: Scale, seed: u
 }
 
 /// Fetch a grid's results in declaration order, for dumping.
-fn fetch<'s>(store: &'s CellStore, cells: &[Cell]) -> Vec<&'s RunResult> {
+pub fn fetch<'s>(store: &'s CellStore, cells: &[Cell]) -> Vec<&'s RunResult> {
     cells.iter().map(|c| store.get(c)).collect()
 }
 
+/// Fig. 2 — coalescing efficiency: divergent-load fraction (paper 56%) and
+/// requests per load (paper 5.9) per irregular benchmark.
 fn fig02(scale: Scale, seed: u64) -> FigureSpec {
     let cells: Vec<Cell> = irregular_names()
         .iter()
@@ -118,6 +105,8 @@ fn fig02(scale: Scale, seed: u64) -> FigureSpec {
     }
 }
 
+/// Fig. 3 — latency divergence under GMC: last/first request latency ratio
+/// (paper 1.6x) and memory controllers touched per load (paper 2.5).
 fn fig03(scale: Scale, seed: u64) -> FigureSpec {
     let cells: Vec<Cell> = irregular_names()
         .iter()
@@ -162,6 +151,8 @@ fn fig03(scale: Scale, seed: u64) -> FigureSpec {
     }
 }
 
+/// Fig. 4 — room for improvement: Perfect Coalescing (paper ~5x) and Zero
+/// Latency Divergence (paper +43%) against GMC.
 fn fig04(scale: Scale, seed: u64) -> FigureSpec {
     // Dump order is per-bench [base, perfect-coalescing, zero-divergence],
     // exactly the original `results.extend([base, pc, zd])`.
@@ -205,6 +196,8 @@ fn fig04(scale: Scale, seed: u64) -> FigureSpec {
     }
 }
 
+/// Fig. 5 — the key-idea arithmetic: average stall of two N-request warps
+/// under interleaved vs consecutive service.
 fn fig05() -> FigureSpec {
     FigureSpec {
         name: "fig05",
@@ -229,6 +222,7 @@ fn fig05() -> FigureSpec {
     }
 }
 
+/// Fig. 7 — every scheduler on the (divergence gap, bus utilisation) plane.
 fn fig07(scale: Scale, seed: u64) -> FigureSpec {
     let benches = irregular_names();
     let mut kinds = PAPER_SCHEDULERS.to_vec();
@@ -260,6 +254,9 @@ fn fig07(scale: Scale, seed: u64) -> FigureSpec {
     }
 }
 
+/// Fig. 8 — IPC of the WG family normalised to GMC (paper: +3.4/+6.2/+8.4/
+/// +10.1%). At Full seed 1 the WG, WG-M and WG-W gmeans sit below GMC;
+/// EXPERIMENTS.md §Fig. 8 discusses why.
 fn fig08(scale: Scale, seed: u64) -> FigureSpec {
     let benches = irregular_names();
     let cells = grid(&benches, PAPER_SCHEDULERS, scale, seed);
@@ -303,6 +300,8 @@ fn fig08(scale: Scale, seed: u64) -> FigureSpec {
     }
 }
 
+/// Fig. 9 — effective memory latency per scheduler (paper: WG −9.1%, WG-M
+/// −16.9% vs GMC).
 fn fig09(scale: Scale, seed: u64) -> FigureSpec {
     let benches = irregular_names();
     let cells = grid(&benches, PAPER_SCHEDULERS, scale, seed);
@@ -347,6 +346,7 @@ fn fig09(scale: Scale, seed: u64) -> FigureSpec {
     }
 }
 
+/// Fig. 10 — first-to-last DRAM service gap of a warp's requests.
 fn fig10(scale: Scale, seed: u64) -> FigureSpec {
     let benches = irregular_names();
     let cells = grid(&benches, PAPER_SCHEDULERS, scale, seed);
@@ -384,6 +384,7 @@ fn fig10(scale: Scale, seed: u64) -> FigureSpec {
     }
 }
 
+/// Fig. 11 — data-bus utilisation (paper: WG-Bw recovers >14% over WG-M).
 fn fig11(scale: Scale, seed: u64) -> FigureSpec {
     let benches = irregular_names();
     let cells = grid(&benches, PAPER_SCHEDULERS, scale, seed);
@@ -417,6 +418,8 @@ fn fig11(scale: Scale, seed: u64) -> FigureSpec {
     }
 }
 
+/// Fig. 12 — write intensity and the unit/orphan share of drain-stalled
+/// warp-groups under WG-Bw, the targets of WG-W.
 fn fig12(scale: Scale, seed: u64) -> FigureSpec {
     let cells: Vec<Cell> = irregular_names()
         .iter()
@@ -448,6 +451,8 @@ fn fig12(scale: Scale, seed: u64) -> FigureSpec {
     }
 }
 
+/// Table I — the GDDR5 MERB table from the Section IV-D formula (paper:
+/// {1:31, 2:20, 3:10, 4:7, 5+:5}).
 fn table1() -> FigureSpec {
     FigureSpec {
         name: "table1",
@@ -485,6 +490,7 @@ fn table1() -> FigureSpec {
     }
 }
 
+/// Table II — the simulated system configuration.
 fn table2() -> FigureSpec {
     FigureSpec {
         name: "table2",
@@ -590,6 +596,7 @@ fn table2() -> FigureSpec {
     }
 }
 
+/// Table III — the workload registry.
 fn table3() -> FigureSpec {
     FigureSpec {
         name: "table3",
@@ -624,6 +631,7 @@ fn table3() -> FigureSpec {
     }
 }
 
+/// §VI-C.2 — WAFCFS vs GMC (paper: 11.2% slowdown).
 fn wafcfs(scale: Scale, seed: u64) -> FigureSpec {
     let benches = irregular_names();
     let kinds = [SchedulerKind::Gmc, SchedulerKind::Wafcfs];
@@ -663,6 +671,8 @@ fn wafcfs(scale: Scale, seed: u64) -> FigureSpec {
     }
 }
 
+/// §VI-C.1 — SBWAS with alpha profiled per benchmark, vs GMC and WG-W
+/// (paper: SBWAS +2.51% over GMC).
 fn sbwas(scale: Scale, seed: u64) -> FigureSpec {
     let benches = irregular_names();
     let kinds = [
@@ -723,6 +733,7 @@ fn sbwas(scale: Scale, seed: u64) -> FigureSpec {
     }
 }
 
+/// §VI-C.3 made quantitative — PAR-BS batch scheduling on GPU workloads.
 fn parbs(scale: Scale, seed: u64) -> FigureSpec {
     let benches = irregular_names();
     let kinds = [SchedulerKind::Gmc, SchedulerKind::ParBs, SchedulerKind::WgW];
@@ -769,6 +780,7 @@ fn parbs(scale: Scale, seed: u64) -> FigureSpec {
     }
 }
 
+/// Extensions — ATLAS-lite (§VI-C.3) and sharing-aware WG-S (§VIII).
 fn extensions(scale: Scale, seed: u64) -> FigureSpec {
     let benches = irregular_names();
     let kinds = [
@@ -816,6 +828,8 @@ fn extensions(scale: Scale, seed: u64) -> FigureSpec {
     }
 }
 
+/// §VI-A — the regular benchmarks under WG-W vs GMC (paper: +1.8%, none
+/// slower).
 fn regular(scale: Scale, seed: u64) -> FigureSpec {
     let benches = regular_names();
     let kinds = [SchedulerKind::Gmc, SchedulerKind::WgW];
@@ -850,6 +864,8 @@ fn regular(scale: Scale, seed: u64) -> FigureSpec {
     }
 }
 
+/// §VI-B — row-hit rate and GDDR5 power, GMC vs WG-W (paper: hit rate −16%,
+/// power +1.8%).
 fn power(scale: Scale, seed: u64) -> FigureSpec {
     let benches = irregular_names();
     let kinds = [SchedulerKind::Gmc, SchedulerKind::WgW];
@@ -896,6 +912,8 @@ fn power(scale: Scale, seed: u64) -> FigureSpec {
     }
 }
 
+/// Ablations over the design choices DESIGN.md calls out (coordination
+/// latency, write watermarks, bank groups, refresh, page policy, streak cap).
 fn ablation(scale: Scale, seed: u64) -> FigureSpec {
     // No JSONL dump (matching the original binary) — five printed tables.
     let bench = "sssp"; // multi-controller benchmark: most coordination-sensitive
@@ -1022,6 +1040,8 @@ fn ablation(scale: Scale, seed: u64) -> FigureSpec {
     }
 }
 
+/// Workload calibration (DESIGN.md §8.4): the irregular suite's aggregate
+/// characteristics against the paper's reported ranges.
 fn calibration(scale: Scale, seed: u64) -> FigureSpec {
     let cells: Vec<Cell> = irregular_names()
         .iter()
@@ -1197,30 +1217,20 @@ fn backends(scale: Scale, seed: u64) -> FigureSpec {
 mod tests {
     use super::*;
 
-    /// Every figure/table binary's grid must be registered with the
-    /// orchestrator — a new `fig*.rs` / `table*.rs` bin without a
-    /// [`FigureSpec`] silently escapes `repro` and the CI gate.
+    /// `repro --only NAME` is the one way to run a figure: a `fig*.rs` /
+    /// `table*.rs` binary next to it would be a second, unregistered path
+    /// that escapes the shared sweep, its cache, and the CI gate.
     #[test]
-    fn every_figure_and_table_bin_is_registered() {
-        let names: Vec<&'static str> = registry(Scale::Tiny, 1).iter().map(|s| s.name).collect();
-        let bin_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
-        let mut missing = Vec::new();
-        for entry in std::fs::read_dir(&bin_dir).unwrap() {
-            let path = entry.unwrap().path();
-            let stem = path.file_stem().unwrap().to_str().unwrap().to_string();
-            if path.extension().and_then(|e| e.to_str()) != Some("rs") {
-                continue;
-            }
-            if !(stem.starts_with("fig") || stem.starts_with("table")) {
-                continue;
-            }
-            if !names.contains(&stem.as_str()) {
-                missing.push(stem);
-            }
-        }
+    fn no_figure_or_table_bins_exist() {
+        let bin_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let strays: Vec<String> = std::fs::read_dir(&bin_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with("fig") || n.starts_with("table"))
+            .collect();
         assert!(
-            missing.is_empty(),
-            "figure/table bins without a FigureSpec in the registry: {missing:?}"
+            strays.is_empty(),
+            "figure/table binaries found (run figures via `repro --only`): {strays:?}"
         );
     }
 

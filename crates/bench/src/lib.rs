@@ -1,18 +1,14 @@
-//! Shared harness code for the experiment binaries (one per paper table /
-//! figure) and the microbenches.
+//! Shared harness code for the experiment binaries and the microbenches.
 //!
-//! Every binary accepts an optional scale argument (`tiny` / `small` /
-//! `full`, default `small`), an optional `--seed N`, the `--jobs N` /
-//! `--threads N` parallelism knobs (workers across cells; partition
-//! threads inside each run), and the `--audit` / `--trace` / `--hist`
-//! switches (which arm the DRAM protocol conformance auditor, the
-//! event-trace recorder, and the distribution histograms for
-//! every run the binary performs); results print as text tables (the same
-//! rows/series the paper plots) and are also written as JSON lines to
+//! Every paper figure and table is a [`figures::registry`] entry run by the
+//! one `repro` binary (`repro [tiny|small|full] --only fig08`); the other
+//! binaries are tools around it (`histreport`, `opsweep`, `perfreport`,
+//! `trace`, `validate`). Results print as text tables (the same rows/series
+//! the paper plots) and are also written as JSON lines to
 //! `results/<figure>.jsonl` — one file per figure, rewritten on every
 //! invocation and stamped with the scale and seed — for EXPERIMENTS.md
-//! provenance. When histograms are armed, the full bucket arrays go to a
-//! companion `results/<figure>.hist.jsonl`.
+//! provenance. When histograms are armed (`--hist`), the full bucket
+//! arrays go to a companion `results/<figure>.hist.jsonl`.
 
 #![forbid(unsafe_code)]
 
@@ -331,7 +327,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "malformed JSON row")]
     fn stamping_a_non_object_row_panics_in_release_builds_too() {
-        // Hard assert, not debug_assert: the release figure binaries are the
+        // Hard assert, not debug_assert: the release binaries are the
         // ones whose output actually gets consumed.
         stamp_row("figX", Scale::Tiny, 1, "not an object");
     }

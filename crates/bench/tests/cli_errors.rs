@@ -61,9 +61,11 @@ fn repro_rejects_bad_arguments_with_named_errors() {
     assert_cli_error(bin, &["--threads", "fast"], "--threads");
     // Unknown flags must not be silently accepted.
     assert_cli_error(bin, &["--colde"], "--colde");
-    // Contradictory and unsupported flags route through the same path.
+    // Contradictory flags route through the same path.
     assert_cli_error(bin, &["--cold", "--resume"], "--cold");
-    assert_cli_error(bin, &["--hist"], "--hist");
+    // An --only list naming no figure would run nothing and "succeed".
+    assert_cli_error(bin, &["--only", ""], "--only");
+    assert_cli_error(bin, &["--only", ","], "--only");
 }
 
 #[test]

@@ -23,7 +23,7 @@
 //! `429` replies.
 
 use ldsim_bench::figures::registry;
-use ldsim_system::sweep::{cache_row, parse_cache_line, FigureSpec};
+use ldsim_system::sweep::{cache_row, parse_cache_line, FigureSpec, KernelId};
 use ldsim_system::{
     run_one_kernel, Cell, CellStore, CompactStats, RunOpts, RunResult, ShardMap, ENGINE_SALT,
     ENGINE_SALT_HISTORY,
@@ -229,10 +229,6 @@ struct DiskStore {
     rows: FnvHashMap<u64, String>,
 }
 
-/// Kernel identity: (benchmark, scale ordinal, seed). Generation is
-/// deterministic, so one shared program serves every cell that matches.
-type KernelKey = (&'static str, u8, u64);
-
 /// The farm core. Create with [`Exec::start`]; share via `Arc`.
 pub struct Exec {
     cfg: ExecConfig,
@@ -244,16 +240,8 @@ pub struct Exec {
     /// Lock order: `state` before `store`, never the reverse.
     store: Mutex<DiskStore>,
     /// Generated kernels, shared read-only across workers.
-    kernels: Mutex<FnvHashMap<KernelKey, Arc<KernelProgram>>>,
+    kernels: Mutex<FnvHashMap<KernelId, Arc<KernelProgram>>>,
     render_seq: AtomicU64,
-}
-
-fn scale_ord(s: Scale) -> u8 {
-    match s {
-        Scale::Tiny => 0,
-        Scale::Small => 1,
-        Scale::Full => 2,
-    }
 }
 
 /// Index every current-salt row on disk (last append wins, matching the
@@ -555,7 +543,7 @@ impl Exec {
     }
 
     fn kernel(&self, cell: &Cell) -> Arc<KernelProgram> {
-        let id = (cell.bench, scale_ord(cell.scale), cell.seed);
+        let id = cell.kernel_id();
         if let Some(k) = self.kernels.lock().unwrap().get(&id) {
             return k.clone();
         }

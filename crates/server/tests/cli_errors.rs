@@ -92,3 +92,28 @@ fn client_runtime_failures_exit_one_without_usage() {
     assert!(!stderr.contains("usage:"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked at"), "stderr: {stderr}");
 }
+
+/// Offline compaction of a regular file (an old single-file
+/// `cellcache.jsonl`, say) is a named runtime failure, and the file
+/// survives byte for byte — a cell cache is always a shard directory.
+#[test]
+fn client_compact_refuses_a_regular_file_and_leaves_it_intact() {
+    let bin = env!("CARGO_BIN_EXE_ldsim-client");
+    let dir = std::env::temp_dir().join(format!("ldsim-compact-file-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("cellcache.jsonl");
+    let bytes = b"{\"cellkey\":\"0000000000000001\",\"engine\":\"old\"}\n{\"cellkey\":\"00";
+    std::fs::write(&file, bytes).unwrap();
+    let out = run(bin, &["compact", "--cache", file.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let after = std::fs::read(&file).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.starts_with("error: ") && stderr.contains("not a shard directory"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked at"), "stderr: {stderr}");
+    assert_eq!(after, bytes, "the refused file must be left byte-identical");
+}

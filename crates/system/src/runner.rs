@@ -1,26 +1,18 @@
-//! The experiment runner: sweeps {benchmark x scheduler} grids in parallel
-//! (one simulation per core via [`ldsim_util::parallel_map`]) and returns
-//! the cells for the figure binaries to format.
+//! The experiment runner: one simulation of one (benchmark, scheduler)
+//! cell under the paper's instruction-budget methodology, plus the
+//! process-wide run options every cell applies. Grids of cells run through
+//! [`crate::sweep::run_sweep`].
 
 use crate::metrics::RunResult;
 use crate::sim::Simulator;
 use ldsim_types::config::{SchedulerKind, SimConfig};
 use ldsim_types::kernel::KernelProgram;
-use ldsim_util::parallel_map;
 use ldsim_workloads::{benchmark, Scale};
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// One (benchmark, scheduler) simulation outcome.
-#[derive(Debug, Clone)]
-pub struct GridCell {
-    pub benchmark: String,
-    pub scheduler: SchedulerKind,
-    pub result: RunResult,
-}
-
-/// Process-wide options every [`run_one`] / [`run_grid`] call applies —
-/// how the bench binaries' `--audit` / `--trace` / `--hist` flags reach all
-/// the figure binaries without each one threading a config through.
+/// Process-wide options every [`run_one_kernel`] call applies — how the
+/// bench binaries' `--audit` / `--trace` / `--hist` flags reach every cell
+/// without each figure threading a config through.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunOpts {
     /// Attach the protocol conformance auditor to every channel; a run
@@ -75,25 +67,15 @@ pub(crate) fn test_opts_lock() -> std::sync::MutexGuard<'static, ()> {
 /// slowest warp's tail — is measured. Every scheduler executes the same
 /// instruction budget on the same kernel.
 pub fn run_one(bench: &str, scale: Scale, seed: u64, kind: SchedulerKind) -> RunResult {
-    run_one_with(bench, scale, seed, kind, |_| {})
-}
-
-/// Run one benchmark with a custom configuration tweak (applied on top of
-/// the process-wide [`RunOpts`], so a tweak can still override them).
-pub fn run_one_with(
-    bench: &str,
-    scale: Scale,
-    seed: u64,
-    kind: SchedulerKind,
-    tweak: impl Fn(&mut SimConfig),
-) -> RunResult {
     let kernel = benchmark(bench, scale, seed).generate();
-    run_one_kernel(&kernel, bench, scale, seed, kind, tweak)
+    run_one_kernel(&kernel, bench, scale, seed, kind, |_| {})
 }
 
-/// [`run_one_with`] on an already-generated kernel, so a grid (or the
-/// global sweep orchestrator, or `ldsim-server`'s cell executor) can share
-/// one generation per benchmark across scheduler cells.
+/// [`run_one`] on an already-generated kernel, with a custom configuration
+/// tweak (applied on top of the process-wide [`RunOpts`], so a tweak can
+/// still override them). The sweep orchestrator and `ldsim-server`'s cell
+/// executor use it to share one generation per benchmark across scheduler
+/// cells.
 pub fn run_one_kernel(
     kernel: &KernelProgram,
     bench: &str,
@@ -167,52 +149,6 @@ fn check_conservation(
     }
 }
 
-/// Run every (benchmark, scheduler) pair in parallel. Each benchmark's
-/// kernel is generated once per grid and shared read-only across its
-/// scheduler cells — every scheduler sees the identical workload, which the
-/// runner verifies by demanding identical retired-instruction counts across
-/// each benchmark row.
-pub fn run_grid(
-    benches: &[&str],
-    kinds: &[SchedulerKind],
-    scale: Scale,
-    seed: u64,
-) -> Vec<GridCell> {
-    let kernels: Vec<KernelProgram> =
-        parallel_map(benches.to_vec(), |b| benchmark(b, scale, seed).generate());
-    let pairs: Vec<(&str, &KernelProgram, SchedulerKind)> = benches
-        .iter()
-        .zip(&kernels)
-        .flat_map(|(&b, kern)| kinds.iter().map(move |&k| (b, kern, k)))
-        .collect();
-    let grid = parallel_map(pairs, |(b, kern, k)| GridCell {
-        result: run_one_kernel(kern, b, scale, seed, k, |_| {}),
-        benchmark: b.to_string(),
-        scheduler: k,
-    });
-    for row in grid.chunks(kinds.len()) {
-        let first = &row[0];
-        for c in row {
-            assert_eq!(
-                c.result.instructions, first.result.instructions,
-                "{}: {:?} retired a different instruction count than {:?} — \
-                 schedulers did not see the same workload",
-                c.benchmark, c.scheduler, first.scheduler
-            );
-        }
-    }
-    grid
-}
-
-/// Pull one cell out of a grid.
-pub fn cell<'a>(grid: &'a [GridCell], bench: &str, kind: SchedulerKind) -> &'a RunResult {
-    &grid
-        .iter()
-        .find(|c| c.benchmark == bench && c.scheduler == kind)
-        .unwrap_or_else(|| panic!("missing cell {bench}/{kind:?}"))
-        .result
-}
-
 /// The canonical scheduler ladders used by the figures.
 pub const PAPER_SCHEDULERS: &[SchedulerKind] = &[
     SchedulerKind::Gmc,
@@ -235,30 +171,6 @@ pub fn regular_names() -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn grid_runs_and_indexes() {
-        let grid = run_grid(
-            &["bfs", "nw"],
-            &[SchedulerKind::Gmc, SchedulerKind::Wg],
-            Scale::Tiny,
-            7,
-        );
-        assert_eq!(grid.len(), 4);
-        let c = cell(&grid, "bfs", SchedulerKind::Wg);
-        assert!(c.finished);
-        assert!(c.instructions > 0);
-        // Same workload across schedulers: identical instruction counts.
-        let g = cell(&grid, "bfs", SchedulerKind::Gmc);
-        assert_eq!(c.instructions, g.instructions);
-    }
-
-    #[test]
-    #[should_panic]
-    fn missing_cell_panics() {
-        let grid = run_grid(&["bfs"], &[SchedulerKind::Gmc], Scale::Tiny, 7);
-        cell(&grid, "bfs", SchedulerKind::WgW);
-    }
 
     #[test]
     fn run_opts_bits_round_trip() {
@@ -300,7 +212,8 @@ mod tests {
         // Lift the instruction budget so the run drains completely; the
         // runner's conservation check must then demand exact equality (and
         // this run must satisfy it).
-        let r = run_one_with("spmv", Scale::Tiny, 5, SchedulerKind::Wg, |cfg| {
+        let kernel = benchmark("spmv", Scale::Tiny, 5).generate();
+        let r = run_one_kernel(&kernel, "spmv", Scale::Tiny, 5, SchedulerKind::Wg, |cfg| {
             cfg.instruction_limit = None;
         });
         assert!(r.finished);

@@ -3,8 +3,8 @@
 //!
 //! The paper's evidence is a dozen figures and tables built from heavily
 //! overlapping (benchmark × scheduler × scale × seed × config) grids.
-//! Running each figure binary independently re-simulates the shared cells
-//! once per figure and regenerates every kernel per run. This module turns
+//! Running each figure independently would re-simulate the shared cells
+//! once per figure and regenerate every kernel per run. This module turns
 //! the whole reproduction into one job:
 //!
 //! 1. every figure/table declares its grid as a data-only [`FigureSpec`]
@@ -14,8 +14,8 @@
 //!    content-addressed key, consults the crash-safe cache, generates each
 //!    distinct kernel once, and runs the remaining unique cells through one
 //!    work-stealing [`parallel_map`] pass;
-//! 3. each figure renders from the shared store — identical bytes to its
-//!    standalone binary, because the render code *is* the binary's body.
+//! 3. each figure renders from the shared store — the same bytes whether
+//!    the store came from the whole registry or from that figure alone.
 //!
 //! ## Cell-key contract
 //!
@@ -34,26 +34,25 @@
 //!
 //! ## Cache & resume semantics
 //!
-//! Completed cells append one self-describing JSONL row to the cache file
-//! as they finish (single `write` per row, so a crash leaves at most one
-//! torn final line, which the loader skips). Rows are trusted only if their
-//! engine salt matches [`ENGINE_SALT`] *and* their key re-derives from a
-//! currently-requested cell — stale entries self-invalidate and simply get
-//! re-simulated. Re-running after a crash therefore resumes exactly where
+//! Completed cells append one self-describing JSONL row to their shard of
+//! the cache directory ([`ShardMap`]) as they finish (single `write` per
+//! row, so a crash leaves at most one torn final line, which the loader
+//! skips). Rows are trusted only if their engine salt matches
+//! [`ENGINE_SALT`] *and* their key re-derives from a currently-requested
+//! cell — stale entries self-invalidate and simply get re-simulated. Re-running after a crash therefore resumes exactly where
 //! the sweep died, and a fully-warm run renders every figure without
 //! simulating at all.
 
 use crate::metrics::RunResult;
 use crate::runner::{run_one_kernel, run_opts, RunOpts};
+use crate::shard::ShardMap;
 use ldsim_types::clock::ClockDomain;
 use ldsim_types::config::{
     CacheConfig, GpuConfig, MemConfig, PagePolicy, Preset, SchedulerKind, SimConfig, TimingParams,
 };
 use ldsim_types::kernel::KernelProgram;
 use ldsim_util::{parallel_map, Fnv64, FnvHashMap};
-use std::io::Write as _;
 use std::path::Path;
-use std::sync::Mutex;
 
 /// Engine-version salt folded into every cell key. Bump it whenever a
 /// change alters simulation *results* (scheduler behaviour, timing, metric
@@ -78,7 +77,7 @@ pub fn salt_generation(salt: &str) -> Option<usize> {
     ENGINE_SALT_HISTORY.iter().position(|s| *s == salt)
 }
 
-/// Default shard count for directory-mode caches (the `repro` binary and
+/// Default shard count for cell caches (the `repro` binary and
 /// `ldsim-server`). 8 shards keep individual files small at Full scale
 /// while staying trivial to eyeball in a directory listing.
 pub const DEFAULT_SHARDS: usize = 8;
@@ -135,6 +134,10 @@ impl CfgTweak {
     }
 }
 
+/// Kernel identity: (benchmark, scale ordinal, seed). Generation is
+/// deterministic, so every cell with the same id runs the same program.
+pub type KernelId = (&'static str, u8, u64);
+
 /// One (benchmark × scheduler × scale × seed × tweak) simulation, as data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cell {
@@ -177,6 +180,12 @@ impl Cell {
         cfg.hist = opts.hist;
         self.tweak.apply(&mut cfg);
         cfg
+    }
+
+    /// The kernel this cell runs — the sharing key for generated programs
+    /// and the row key of the cross-scheduler instruction-count check.
+    pub fn kernel_id(&self) -> KernelId {
+        (self.bench, scale_ord(self.scale), self.seed)
     }
 
     /// Content-addressed cache key: FNV-1a over the engine salt, the
@@ -410,7 +419,7 @@ impl CellStore {
 }
 
 /// One figure or table: its simulation grid as data, plus the render step
-/// that turns shared-store cells into the binary's exact stdout and
+/// that turns shared-store cells into its stdout table and
 /// `results/<name>.jsonl` bytes. `render` receives the store and the
 /// results directory to write into.
 pub struct FigureSpec {
@@ -423,11 +432,9 @@ pub struct FigureSpec {
 /// How a sweep executes: where the cache lives, which salt validates it,
 /// and the test-only crash injection.
 pub struct SweepConfig<'a> {
-    /// Where completed cells persist; `None` disables caching (the
-    /// standalone figure binaries, which must behave exactly as before).
-    /// A path ending in `.jsonl` is the legacy single-file log; any other
-    /// path is a *shard directory* ([`crate::shard::ShardMap`]) holding
-    /// [`Self::shards`] files partitioned by cellkey.
+    /// The shard directory ([`ShardMap`]) completed cells persist in,
+    /// holding [`Self::shards`] files partitioned by cellkey; `None`
+    /// disables caching (`repro --hist`, `histreport`, tests).
     pub cache_path: Option<&'a Path>,
     /// Salt cached rows must carry. Production always passes
     /// [`ENGINE_SALT`]; tests pass a different salt to prove invalidation.
@@ -435,9 +442,8 @@ pub struct SweepConfig<'a> {
     /// Stop after simulating this many cells (cache rows for them are
     /// already appended) — the crash-resume tests' kill switch.
     pub max_simulated: Option<usize>,
-    /// Shard count used when `cache_path` names a directory. Ignored for
-    /// single-file caches, and overridden by an existing directory's
-    /// `shards.meta` (the on-disk layout wins).
+    /// Shard count for a fresh cache directory; an existing directory's
+    /// `shards.meta` overrides it (the on-disk layout wins).
     pub shards: usize,
 }
 
@@ -450,12 +456,6 @@ impl Default for SweepConfig<'_> {
             shards: DEFAULT_SHARDS,
         }
     }
-}
-
-/// Whether a cache path selects the legacy single-file log (extension
-/// `.jsonl`) or a shard directory.
-fn is_single_file(path: &Path) -> bool {
-    path.extension().is_some_and(|e| e == "jsonl")
 }
 
 /// What a sweep did, for logging and the resume/invalidation tests.
@@ -477,7 +477,7 @@ pub struct SweepStats {
 /// consulting and appending to the cache per `cfg`, and return the shared
 /// store plus what happened. Panics on simulation integrity failures
 /// (dropped requests, audit violations, conservation, instruction-count
-/// mismatches) exactly like the per-figure runner does.
+/// mismatches).
 pub fn run_sweep(cells: &[Cell], cfg: &SweepConfig) -> (CellStore, SweepStats) {
     let opts = run_opts();
     let mut store = CellStore::new(opts);
@@ -502,16 +502,13 @@ pub fn run_sweep(cells: &[Cell], cfg: &SweepConfig) -> (CellStore, SweepStats) {
     stats.unique = unique.len();
 
     // Warm start: absorb every valid, currently-requested cache row.
-    if let Some(path) = cfg.cache_path {
-        stats.skipped_lines = if is_single_file(path) {
-            load_cache(path, cfg.salt, &by_key, opts, &mut store)
-        } else {
-            let map = crate::shard::ShardMap::open(path, cfg.shards);
-            map.shard_paths()
-                .iter()
-                .map(|p| load_cache(p, cfg.salt, &by_key, opts, &mut store))
-                .sum()
-        };
+    let cache = cfg.cache_path.map(|path| ShardMap::open(path, cfg.shards));
+    if let Some(map) = &cache {
+        stats.skipped_lines = map
+            .shard_paths()
+            .iter()
+            .map(|p| load_cache(p, cfg.salt, &by_key, opts, &mut store))
+            .sum();
         stats.from_cache = store.len();
     }
 
@@ -526,41 +523,23 @@ pub fn run_sweep(cells: &[Cell], cfg: &SweepConfig) -> (CellStore, SweepStats) {
 
     // Generate each distinct kernel once, in parallel, then run the unique
     // cells through one work-stealing pass sharing the kernels read-only.
-    let mut kernel_ids: Vec<(&'static str, ldsim_workloads::Scale, u64)> = Vec::new();
+    let mut firsts: Vec<Cell> = Vec::new();
     for c in &to_run {
-        let id = (c.bench, c.scale, c.seed);
-        if !kernel_ids.contains(&id) {
-            kernel_ids.push(id);
+        if !firsts.iter().any(|f| f.kernel_id() == c.kernel_id()) {
+            firsts.push(*c);
         }
     }
-    let kernels: FnvHashMap<(&'static str, u8, u64), KernelProgram> = kernel_ids
+    let kernels: FnvHashMap<KernelId, KernelProgram> = firsts
         .iter()
-        .map(|&(b, s, seed)| (b, scale_ord(s), seed))
-        .zip(parallel_map(kernel_ids.clone(), |(b, s, seed)| {
-            ldsim_workloads::benchmark(b, s, seed).generate()
+        .map(Cell::kernel_id)
+        .zip(parallel_map(firsts.clone(), |c| {
+            ldsim_workloads::benchmark(c.bench, c.scale, c.seed).generate()
         }))
         .collect();
 
-    let appender = cfg.cache_path.map(|path| {
-        if is_single_file(path) {
-            if let Some(dir) = path.parent() {
-                std::fs::create_dir_all(dir)
-                    .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
-            }
-            let file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .unwrap_or_else(|e| panic!("cannot open cache {}: {e}", path.display()));
-            Appender::Single(Mutex::new(file))
-        } else {
-            Appender::Sharded(crate::shard::ShardMap::open(path, cfg.shards))
-        }
-    });
-
     let salt = cfg.salt;
     let fresh: Vec<(Cell, RunResult)> = parallel_map(to_run, |cell| {
-        let kernel = &kernels[&(cell.bench, scale_ord(cell.scale), cell.seed)];
+        let kernel = &kernels[&cell.kernel_id()];
         let result = run_one_kernel(
             kernel,
             cell.bench,
@@ -569,28 +548,18 @@ pub fn run_sweep(cells: &[Cell], cfg: &SweepConfig) -> (CellStore, SweepStats) {
             cell.kind,
             |cfg| cell.tweak.apply(cfg),
         );
-        if let Some(log) = &appender {
+        if let Some(map) = &cache {
             assert!(
                 result.hists.is_none(),
                 "refusing to cache an armed-histogram run ({}/{:?}): \
                  distributions do not round-trip through the cell cache — \
-                 use the standalone histreport binary instead",
+                 run without a cache (repro --hist) instead",
                 cell.bench,
                 cell.kind
             );
-            let row = cache_row(&cell, opts, salt, &result);
-            match log {
-                Appender::Single(file) => {
-                    let mut f = file.lock().unwrap();
-                    // One write per row: a crash tears at most the final
-                    // line, which the loader skips.
-                    f.write_all(row.as_bytes())
-                        .unwrap_or_else(|e| panic!("cache append failed: {e}"));
-                }
-                // ShardMap::append opens-appends-closes under the hood, so
-                // concurrent workers only contend on the OS append lock.
-                Appender::Sharded(map) => map.append(cell.key(opts), &row),
-            }
+            // ShardMap::append opens-appends-closes under the hood, so
+            // concurrent workers only contend on the OS append lock.
+            map.append(cell.key(opts), &cache_row(&cell, opts, salt, &result));
         }
         (cell, result)
     });
@@ -605,16 +574,8 @@ pub fn run_sweep(cells: &[Cell], cfg: &SweepConfig) -> (CellStore, SweepStats) {
     (store, stats)
 }
 
-/// Where finished cells are appended: the legacy single file, or one shard
-/// file per cellkey partition.
-enum Appender {
-    Single(Mutex<std::fs::File>),
-    Sharded(crate::shard::ShardMap),
-}
-
 /// Serialise one completed cell as a self-describing cache line — the wire
-/// format shared by the single-file log, the shard store, and the
-/// `ldsim-server` job results. Public so the server can persist cells it
+/// format shared by the shard store and the `ldsim-server` job results. Public so the server can persist cells it
 /// ran outside [`run_sweep`] in the identical format.
 pub fn cache_row(cell: &Cell, opts: RunOpts, salt: &str, result: &RunResult) -> String {
     let result_json = result.to_json();
@@ -685,18 +646,18 @@ pub fn parse_cache_line(
     Some((cell, result))
 }
 
-/// The cross-scheduler invariant `run_grid` enforced, applied globally:
-/// every untweaked cell of one (benchmark, scale, seed) must have retired
+/// The cross-scheduler invariant, applied globally: every untweaked cell
+/// of one (benchmark, scale, seed) must have retired
 /// the identical instruction count — schedulers saw the same workload under
 /// the same budget, whether the number came from the cache or a fresh run.
 fn verify_instruction_consistency(cells: &[Cell], store: &CellStore) {
-    let mut first: FnvHashMap<(&str, u8, u64), (&Cell, u64)> = FnvHashMap::default();
+    let mut first: FnvHashMap<KernelId, (&Cell, u64)> = FnvHashMap::default();
     for cell in cells {
         if cell.tweak != CfgTweak::None {
             continue;
         }
         let n = store.get(cell).instructions;
-        match first.entry((cell.bench, scale_ord(cell.scale), cell.seed)) {
+        match first.entry(cell.kernel_id()) {
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert((cell, n));
             }
@@ -721,6 +682,16 @@ mod tests {
 
     fn cell(kind: SchedulerKind) -> Cell {
         Cell::new("bfs", Scale::Tiny, 7, kind)
+    }
+
+    /// Every row across a cache directory's shard files, in shard order.
+    fn shard_rows(cache: &Path) -> Vec<String> {
+        ShardMap::open(cache, DEFAULT_SHARDS)
+            .shard_paths()
+            .iter()
+            .filter_map(|p| std::fs::read_to_string(p).ok())
+            .flat_map(|t| t.lines().map(str::to_string).collect::<Vec<_>>())
+            .collect()
     }
 
     #[test]
@@ -883,14 +854,14 @@ mod tests {
         // Same benchmark, same knobs, different DRAM backend: the preset
         // dimension alone must partition the cell cache — a collision would
         // serve GDDR5 numbers as HBM numbers. Pin it end to end through the
-        // JSONL file, like the microbench/CSR partition test below.
+        // shard files, like the microbench/CSR partition test below.
         let _guard = crate::runner::test_opts_lock();
         set_run_opts(RunOpts::default());
         let opts = RunOpts::default();
         let dir =
             std::env::temp_dir().join(format!("ldsim-preset-partition-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = dir.join("cellcache.jsonl");
+        let cache = dir.join("cellcache");
         let cells: Vec<Cell> = Preset::ALL
             .iter()
             .map(|&p| cell(SchedulerKind::Gmc).with_tweak(CfgTweak::Backend(p)))
@@ -906,8 +877,7 @@ mod tests {
         };
         let (store, stats) = run_sweep(&cells, &cfg);
         assert_eq!(stats.simulated, 4, "all four backends must simulate cold");
-        let text = std::fs::read_to_string(&cache).unwrap();
-        assert_eq!(text.lines().count(), 4, "one cache row per backend");
+        assert_eq!(shard_rows(&cache).len(), 4, "one cache row per backend");
 
         // Warm reload: each backend's row comes back under its own key.
         let (store2, stats2) = run_sweep(&cells, &cfg);
@@ -934,7 +904,7 @@ mod tests {
         set_run_opts(RunOpts::default());
         let dir = std::env::temp_dir().join(format!("ldsim-sweep-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = dir.join("cellcache.jsonl");
+        let cache = dir.join("cellcache");
         // Two "figures" sharing the bfs/Gmc cell.
         let cells = vec![
             cell(SchedulerKind::Gmc),
@@ -985,13 +955,13 @@ mod tests {
         // knobs (scale, seed, scheduler, tweak) resolve to the same config
         // fingerprint — only the bench name separates their cache keys. A
         // collision would silently serve one workload's numbers for the
-        // other, so pin the partitioning end to end through the JSONL file.
+        // other, so pin the partitioning end to end through the shard files.
         let _guard = crate::runner::test_opts_lock();
         set_run_opts(RunOpts::default());
         let opts = RunOpts::default();
         let dir = std::env::temp_dir().join(format!("ldsim-partition-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = dir.join("cellcache.jsonl");
+        let cache = dir.join("cellcache");
         let mb = Cell::new("mb_serial", Scale::Tiny, 7, SchedulerKind::Gmc);
         let csr = Cell::new("bfs", Scale::Tiny, 7, SchedulerKind::Gmc);
         assert_eq!(
@@ -1008,8 +978,7 @@ mod tests {
         };
         let (store, stats) = run_sweep(&cells, &cfg);
         assert_eq!(stats.simulated, 2, "both cells must simulate cold");
-        let text = std::fs::read_to_string(&cache).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
+        let lines = shard_rows(&cache);
         assert_eq!(lines.len(), 2, "one cache row per cell");
         for (c, name) in [(&mb, "mb_serial"), (&csr, "bfs")] {
             let key = format!("\"cellkey\":\"{:016x}\"", c.key(opts));
@@ -1041,7 +1010,7 @@ mod tests {
         set_run_opts(RunOpts::default());
         let dir = std::env::temp_dir().join(format!("ldsim-resume-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = dir.join("cellcache.jsonl");
+        let cache = dir.join("cellcache");
         let cells = vec![
             cell(SchedulerKind::Gmc),
             cell(SchedulerKind::Wg),
@@ -1059,8 +1028,9 @@ mod tests {
         {
             use std::io::Write;
             let mut f = std::fs::OpenOptions::new()
+                .create(true)
                 .append(true)
-                .open(&cache)
+                .open(ShardMap::open(&cache, DEFAULT_SHARDS).shard_path(0))
                 .unwrap();
             write!(
                 f,
@@ -1085,6 +1055,30 @@ mod tests {
             assert_eq!(fresh.get(c), store.get(c), "resume must be bit-exact");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "bfs: Wg retired a different instruction count than Gmc")]
+    fn instruction_count_mismatch_names_the_benchmark() {
+        // Schedulers of one (bench, scale, seed) must retire the identical
+        // budget; tweaked cells may legitimately differ and are exempt.
+        let opts = RunOpts::default();
+        let with = |n| RunResult {
+            instructions: n,
+            ..Default::default()
+        };
+        let (gmc, wg) = (cell(SchedulerKind::Gmc), cell(SchedulerKind::Wg));
+        let coalesced = gmc.with_tweak(CfgTweak::PerfectCoalescing);
+        let other_seed = Cell::new("bfs", Scale::Tiny, 8, SchedulerKind::Wg);
+        let mut store = CellStore::new(opts);
+        store.insert(&gmc, with(100));
+        store.insert(&coalesced, with(90));
+        store.insert(&other_seed, with(80));
+        store.insert(&wg, with(100));
+        let cells = [gmc, coalesced, other_seed, wg];
+        verify_instruction_consistency(&cells, &store);
+        store.insert(&wg, with(101));
+        verify_instruction_consistency(&cells, &store);
     }
 
     #[test]
@@ -1118,9 +1112,8 @@ mod tests {
 
     #[test]
     fn sharded_cache_round_trips_and_compaction_preserves_warm_reload() {
-        // The directory-mode cache must behave exactly like the single
-        // file: cold run populates the shards (rows routed by key), warm
-        // run simulates nothing and reloads bit-exact — and a compaction
+        // Cold run populates the shards (rows routed by key), warm run
+        // simulates nothing and reloads bit-exact — and a compaction
         // pass over a polluted store (stale-salt + torn rows appended to
         // every shard) must shrink the files while leaving the warm reload
         // byte-identical. This is the in-`cargo test` half of the CI
@@ -1143,7 +1136,7 @@ mod tests {
         };
         let (store, stats) = run_sweep(&cells, &cfg);
         assert_eq!(stats.simulated, 4);
-        let map = crate::shard::ShardMap::open(&cache, 4);
+        let map = ShardMap::open(&cache, 4);
         assert_eq!(map.shards(), 4);
         // Rows landed in the shard their key maps to.
         let opts = RunOpts::default();

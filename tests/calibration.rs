@@ -1,7 +1,7 @@
-//! Tier-1 promotion of the `calibration` binary's paper-range assertions
+//! Tier-1 promotion of the `calibration` figure's paper-range assertions
 //! (DESIGN.md §8.4): the irregular suite's aggregate memory behaviour
 //! under the GMC baseline must stay inside the bands the paper reports,
-//! or `cargo test` fails — not just the standalone bin.
+//! or `cargo test` fails — not just `repro --only calibration`.
 //!
 //! Bands match the `calibration` figure spec exactly; `tests/repro.rs`
 //! already proves that spec's render passes at this scale/seed, so these

@@ -211,13 +211,20 @@ fn epoch_max_is_fingerprint_exempt() {
 
 /// End to end through the sweep: a cell simulated serially and reloaded
 /// from the warm cache at a different thread count is the same cell —
-/// same key, zero re-simulation, byte-exact cache file.
+/// same key, zero re-simulation, byte-exact shard files.
 #[test]
 fn warm_cache_reload_ignores_thread_count() {
     let dir = std::env::temp_dir().join(format!("ldsim-threaded-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let cache = dir.join("cellcache.jsonl");
+    let cache = dir.join("cellcache");
+    let shard_bytes = || -> Vec<Vec<u8>> {
+        let map = ldsim::system::ShardMap::open(&cache, ldsim::system::DEFAULT_SHARDS);
+        map.shard_paths()
+            .iter()
+            .map(|p| std::fs::read(p).unwrap_or_default())
+            .collect()
+    };
 
     let cells = [
         Cell::new("bfs", Scale::Tiny, 11, SchedulerKind::Gmc),
@@ -231,7 +238,11 @@ fn warm_cache_reload_ignores_thread_count() {
     // Cold pass, serial (the process default).
     let (cold_store, cold) = run_sweep(&cells, &cfg);
     assert_eq!(cold.simulated, 2);
-    let cache_bytes = std::fs::read(&cache).unwrap();
+    let cache_bytes = shard_bytes();
+    assert!(
+        cache_bytes.iter().any(|b| !b.is_empty()),
+        "cold pass wrote no rows"
+    );
 
     // Warm pass with the process-wide thread count forced to 6: every cell
     // must come from the cache (same key), the file must not change, and
@@ -245,7 +256,7 @@ fn warm_cache_reload_ignores_thread_count() {
     );
     assert_eq!(warm.simulated, 0);
     assert_eq!(
-        std::fs::read(&cache).unwrap(),
+        shard_bytes(),
         cache_bytes,
         "warm reload must leave the cache byte-identical"
     );
