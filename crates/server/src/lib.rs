@@ -220,9 +220,9 @@ fn post_job(stream: &mut TcpStream, exec: &Exec, body: &str) -> std::io::Result<
                 .u64("job", r.job)
                 .u64("declared", r.declared as u64)
                 .u64("unique", r.unique as u64)
-                .u64("cached", r.cached as u64)
-                .u64("shared", r.shared as u64)
-                .u64("queued", r.queued as u64)
+                .u64("cached", r.cells.cached as u64)
+                .u64("shared", r.cells.shared as u64)
+                .u64("queued", r.cells.queued as u64)
                 .build();
             http::respond_json(stream, 200, "OK", &body)
         }

@@ -4,28 +4,12 @@
 //! worker pool and the shard store untouched.
 
 use ldsim_server::wire::request;
-use ldsim_server::{spawn_server, Exec, ExecConfig, ServeHandle};
 use ldsim_system::{run_sweep, SweepConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ldsim-proto-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn boot(cache: &Path, cfg: impl FnOnce(&mut ExecConfig)) -> ServeHandle {
-    let mut c = ExecConfig {
-        cache_dir: cache.to_path_buf(),
-        shards: 4,
-        workers: 2,
-        ..ExecConfig::default()
-    };
-    cfg(&mut c);
-    spawn_server(Exec::start(c), 0).expect("bind ephemeral port")
-}
+mod common;
+use common::{boot, tmp};
 
 /// Fire raw bytes at the server and return the whole reply, for requests
 /// `wire::request` refuses to produce (malformed lines, lying lengths).
@@ -44,94 +28,44 @@ fn named_errors_cover_every_malformed_request() {
     let srv = boot(&cache, |_| {});
     let p = srv.port;
 
-    // Body is not JSON → bad_job_json.
-    let (s, b) = request("127.0.0.1", p, "POST", "/v1/jobs", "not json at all").unwrap();
-    assert_eq!(
-        (s, b.contains("\"error\":\"bad_job_json\"")),
-        (400, true),
-        "{b}"
-    );
-
-    // Valid JSON, invalid scale → bad_scale.
-    let (s, b) = request(
-        "127.0.0.1",
-        p,
-        "POST",
-        "/v1/jobs",
-        "{\"scale\":\"galactic\"}",
-    )
-    .unwrap();
-    assert_eq!(
-        (s, b.contains("\"error\":\"bad_scale\"")),
-        (400, true),
-        "{b}"
-    );
-    let (s, b) = request("127.0.0.1", p, "POST", "/v1/jobs", "{}").unwrap();
-    assert_eq!(
-        (s, b.contains("\"error\":\"bad_scale\"")),
-        (400, true),
-        "{b}"
-    );
-
-    // Unknown figure name → unknown_figure, and nothing was enqueued.
-    let (s, b) = request(
-        "127.0.0.1",
-        p,
-        "POST",
-        "/v1/jobs",
-        "{\"scale\":\"tiny\",\"figures\":\"fig02,fig99\"}",
-    )
-    .unwrap();
-    assert_eq!(
-        (s, b.contains("\"error\":\"unknown_figure\"")),
-        (400, true),
-        "{b}"
-    );
-    assert!(b.contains("fig99"), "detail names the bad figure: {b}");
+    // Each malformed request gets its named error on the right status:
+    // bad bodies and scales, an unknown figure, unknown endpoints and
+    // wrong methods, and bad or unknown job ids.
+    for (method, path, body, status, name) in [
+        ("POST", "/v1/jobs", "not json at all", 400, "bad_job_json"),
+        (
+            "POST",
+            "/v1/jobs",
+            "{\"scale\":\"galactic\"}",
+            400,
+            "bad_scale",
+        ),
+        ("POST", "/v1/jobs", "{}", 400, "bad_scale"),
+        (
+            "POST",
+            "/v1/jobs",
+            "{\"scale\":\"tiny\",\"figures\":\"fig02,fig99\"}",
+            400,
+            "unknown_figure",
+        ),
+        ("GET", "/v2/jobs", "", 404, "unknown_endpoint"),
+        ("DELETE", "/v1/health", "", 405, "method_not_allowed"),
+        ("POST", "/v1/jobs/7/stream", "", 405, "method_not_allowed"),
+        ("GET", "/v1/jobs/banana", "", 400, "bad_job_id"),
+        ("GET", "/v1/jobs/424242", "", 404, "unknown_job"),
+        ("GET", "/v1/jobs/424242/stream", "", 404, "unknown_job"),
+    ] {
+        let (s, b) = request("127.0.0.1", p, method, path, body).unwrap();
+        let named = b.contains(&format!("\"error\":\"{name}\""));
+        assert_eq!((s, named), (status, true), "{method} {path} {body}: {b}");
+        if name == "unknown_figure" {
+            assert!(b.contains("fig99"), "detail names the bad figure: {b}");
+        }
+    }
     let (_, h) = request("127.0.0.1", p, "GET", "/v1/health", "").unwrap();
     assert!(
         h.contains("\"pending\":0"),
-        "rejected submit must enqueue nothing: {h}"
-    );
-
-    // Unknown endpoint → unknown_endpoint; known path, wrong method → 405.
-    let (s, b) = request("127.0.0.1", p, "GET", "/v2/jobs", "").unwrap();
-    assert_eq!(
-        (s, b.contains("\"error\":\"unknown_endpoint\"")),
-        (404, true),
-        "{b}"
-    );
-    let (s, b) = request("127.0.0.1", p, "DELETE", "/v1/health", "").unwrap();
-    assert_eq!(
-        (s, b.contains("\"error\":\"method_not_allowed\"")),
-        (405, true),
-        "{b}"
-    );
-    let (s, b) = request("127.0.0.1", p, "POST", "/v1/jobs/7/stream", "").unwrap();
-    assert_eq!(
-        (s, b.contains("\"error\":\"method_not_allowed\"")),
-        (405, true),
-        "{b}"
-    );
-
-    // Job ids: non-numeric → bad_job_id; numeric but unknown → unknown_job.
-    let (s, b) = request("127.0.0.1", p, "GET", "/v1/jobs/banana", "").unwrap();
-    assert_eq!(
-        (s, b.contains("\"error\":\"bad_job_id\"")),
-        (400, true),
-        "{b}"
-    );
-    let (s, b) = request("127.0.0.1", p, "GET", "/v1/jobs/424242", "").unwrap();
-    assert_eq!(
-        (s, b.contains("\"error\":\"unknown_job\"")),
-        (404, true),
-        "{b}"
-    );
-    let (s, b) = request("127.0.0.1", p, "GET", "/v1/jobs/424242/stream", "").unwrap();
-    assert_eq!(
-        (s, b.contains("\"error\":\"unknown_job\"")),
-        (404, true),
-        "{b}"
+        "rejected submits must enqueue nothing: {h}"
     );
 
     // A Content-Length over the cap is refused before the body is read.
@@ -158,51 +92,30 @@ fn named_errors_cover_every_malformed_request() {
 #[test]
 fn capacity_rejections_are_atomic_and_named() {
     // max_inflight 1: fig02's multi-cell grid trips the global cap on the
-    // very first submit, before anything is committed.
-    let cache = tmp("cap");
-    let srv = boot(&cache, |c| c.max_inflight = 1);
-    let (s, b) = request(
-        "127.0.0.1",
-        srv.port,
-        "POST",
-        "/v1/jobs",
-        "{\"scale\":\"tiny\",\"figures\":\"fig02\"}",
-    )
-    .unwrap();
-    assert_eq!(
-        (s, b.contains("\"error\":\"over_capacity\"")),
-        (429, true),
-        "{b}"
-    );
-    let (_, h) = request("127.0.0.1", srv.port, "GET", "/v1/health", "").unwrap();
-    assert!(
-        h.contains("\"pending\":0"),
-        "rejection must commit nothing: {h}"
-    );
-    assert!(h.contains("\"jobs\":0"), "no job record either: {h}");
-    srv.exec.shutdown();
-    let _ = std::fs::remove_dir_all(&cache);
-
-    // queue_cap 1 with a roomy global cap: the per-client queue rejects
-    // instead, with its own name.
-    let cache = tmp("queue");
-    let srv = boot(&cache, |c| c.queue_cap = 1);
-    let (s, b) = request(
-        "127.0.0.1",
-        srv.port,
-        "POST",
-        "/v1/jobs",
-        "{\"client\":\"greedy\",\"scale\":\"tiny\",\"figures\":\"fig02\"}",
-    )
-    .unwrap();
-    assert_eq!(
-        (s, b.contains("\"error\":\"client_queue_full\"")),
-        (429, true),
-        "{b}"
-    );
-    assert!(b.contains("greedy"), "detail names the client: {b}");
-    srv.exec.shutdown();
-    let _ = std::fs::remove_dir_all(&cache);
+    // very first submit, before anything is committed. queue_cap 1 with a
+    // roomy global cap: the per-client queue rejects instead, with its own
+    // name and the client named in the detail.
+    for (name, max_inflight, queue_cap, error) in [
+        ("cap", 1, usize::MAX, "over_capacity"),
+        ("queue", usize::MAX, 1, "client_queue_full"),
+    ] {
+        let cache = tmp(name);
+        let srv = boot(&cache, |c| {
+            (c.max_inflight, c.queue_cap) = (max_inflight, queue_cap)
+        });
+        let job = "{\"client\":\"greedy\",\"scale\":\"tiny\",\"figures\":\"fig02\"}";
+        let (s, b) = request("127.0.0.1", srv.port, "POST", "/v1/jobs", job).unwrap();
+        let named = b.contains(&format!("\"error\":\"{error}\""));
+        assert_eq!((s, named), (429, true), "{b}");
+        assert!(error != "client_queue_full" || b.contains("greedy"), "{b}");
+        let (_, h) = request("127.0.0.1", srv.port, "GET", "/v1/health", "").unwrap();
+        assert!(
+            h.contains("\"pending\":0") && h.contains("\"jobs\":0"),
+            "rejection must commit nothing, not even a job record: {h}"
+        );
+        srv.exec.shutdown();
+        let _ = std::fs::remove_dir_all(&cache);
+    }
 }
 
 #[test]

@@ -6,29 +6,14 @@
 //! warm-reloads bit-exact.
 
 use ldsim_bench::figures::registry;
-use ldsim_server::{spawn_server, Exec, ExecConfig, ServeHandle};
 use ldsim_system::{run_sweep, SweepConfig};
 use ldsim_util::parse_object;
 use ldsim_workloads::Scale;
 use std::io::BufRead;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ldsim-wire-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn boot(cache: &Path, cfg: impl FnOnce(&mut ExecConfig)) -> ServeHandle {
-    let mut c = ExecConfig {
-        cache_dir: cache.to_path_buf(),
-        shards: 4,
-        workers: 2,
-        ..ExecConfig::default()
-    };
-    cfg(&mut c);
-    spawn_server(Exec::start(c), 0).expect("bind ephemeral port")
-}
+mod common;
+use common::{boot, tmp};
 
 fn post_job(port: u16, body: &str) -> (u16, String) {
     ldsim_server::wire::request("127.0.0.1", port, "POST", "/v1/jobs", body).unwrap()
@@ -245,6 +230,65 @@ fn health_compact_and_status_round_trip() {
         ldsim_server::wire::request("127.0.0.1", srv.port, "POST", "/v1/compact", "").unwrap();
     assert_eq!(s, 200);
     assert!(body.contains("\"rows_kept\":0"), "{body}");
+    srv.exec.shutdown();
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+#[test]
+fn forged_instruction_count_fails_the_figure_and_the_job() {
+    // Warm a Tiny fig08 store, then add 1 to one bfs row's instruction
+    // count. Its key, salt, config fingerprint and benchmark stay valid,
+    // so the row is served; the cross-scheduler check must catch it.
+    let cache = tmp("forged");
+    let fig08 = registry(Scale::Tiny, 1)
+        .into_iter()
+        .find(|s| s.name == "fig08")
+        .unwrap();
+    let cfg = SweepConfig {
+        cache_path: Some(&cache),
+        shards: 4,
+        ..SweepConfig::default()
+    };
+    run_sweep(&fig08.cells, &cfg);
+    let (shard, text) = std::fs::read_dir(&cache)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .map(|p| (p.clone(), std::fs::read_to_string(p).unwrap()))
+        .find(|(_, t)| t.contains("\"benchmark\":\"bfs\""))
+        .unwrap();
+    let row = text.lines().find(|l| l.contains("\"bfs\"")).unwrap();
+    let n = parse_object(row).unwrap().req_u64("instructions").unwrap();
+    let forged = row.replace(
+        &format!("\"instructions\":{n},"),
+        &format!("\"instructions\":{},", n + 1),
+    );
+    std::fs::write(&shard, text.replace(row, &forged)).unwrap();
+
+    let srv = boot(&cache, |_| {});
+    let (_, reply) = post_job(srv.port, "{\"scale\":\"tiny\",\"figures\":\"fig08\"}");
+    let r = parse_object(&reply).unwrap();
+    assert_eq!(r.req_u64("queued").unwrap(), 0, "every cell is on disk");
+    let job = r.req_u64("job").unwrap();
+    let path = format!("/v1/jobs/{job}");
+    let (_, mut stream) =
+        ldsim_server::wire::open_stream("127.0.0.1", srv.port, &format!("{path}/stream")).unwrap();
+    let mut body = String::new();
+    std::io::Read::read_to_string(&mut stream, &mut body).unwrap();
+    let last = parse_object(body.lines().last().unwrap()).unwrap();
+    assert_eq!(last.req_str("error"), Ok("figure_failed"), "{body}");
+    assert_eq!(last.req_str("figure"), Ok("fig08"));
+    let detail = last.req_str("detail").unwrap();
+    assert!(
+        detail.starts_with("bfs: ") && detail.contains("different instruction count"),
+        "{detail}"
+    );
+    let (_, status) = ldsim_server::wire::request("127.0.0.1", srv.port, "GET", &path, "").unwrap();
+    let st = parse_object(&status).unwrap();
+    assert_eq!(st.req_str("state"), Ok("failed"), "{status}");
+    assert!(
+        st.req_str("job_error").unwrap().starts_with("bfs: "),
+        "{status}"
+    );
     srv.exec.shutdown();
     let _ = std::fs::remove_dir_all(&cache);
 }

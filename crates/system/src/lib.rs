@@ -21,6 +21,7 @@
 #![forbid(unsafe_code)]
 
 pub mod diff;
+pub mod executor;
 pub mod metrics;
 pub mod partition;
 #[cfg(test)]
@@ -33,13 +34,15 @@ pub mod table;
 pub mod trace;
 
 pub use diff::{differential_check, DiffCell, DiffReport};
+pub use executor::{Executor, Submitted};
 pub use metrics::{RunHists, RunResult};
 pub use runner::{run_one, run_one_kernel, run_opts, set_run_opts, RunOpts};
 pub use shard::{CompactStats, ShardMap};
 pub use sim::{Simulator, SyncStats};
 pub use sweep::{
-    config_fingerprint, run_sweep, salt_generation, Cell, CellStore, CfgTweak, FigureSpec,
-    SweepConfig, SweepStats, DEFAULT_SHARDS, ENGINE_SALT, ENGINE_SALT_HISTORY,
+    config_fingerprint, run_sweep, salt_generation, verify_instruction_consistency, Cell,
+    CellStore, CfgTweak, FigureSpec, SweepConfig, SweepStats, DEFAULT_SHARDS, ENGINE_SALT,
+    ENGINE_SALT_HISTORY,
 };
 pub use table::Table;
 pub use trace::{Trace, WgEvent, WgStage};

@@ -273,7 +273,12 @@ impl RunResult {
     /// `hists` do not round-trip (`None` after parsing): cached cells are
     /// unarmed by contract (the orchestrator refuses to cache armed runs).
     pub fn from_json(row: &str) -> Result<RunResult, String> {
-        let p = ldsim_util::parse_object(row)?;
+        Self::from_object(&ldsim_util::parse_object(row)?)
+    }
+
+    /// [`Self::from_json`] over an already-parsed row, so a caller that
+    /// has read the row's envelope does not parse it a second time.
+    pub fn from_object(p: &ldsim_util::ParsedObject) -> Result<RunResult, String> {
         let counters = p
             .get("policy_counters")
             .and_then(|v| v.as_arr())

@@ -73,9 +73,8 @@ pub fn run_one(bench: &str, scale: Scale, seed: u64, kind: SchedulerKind) -> Run
 
 /// [`run_one`] on an already-generated kernel, with a custom configuration
 /// tweak (applied on top of the process-wide [`RunOpts`], so a tweak can
-/// still override them). The sweep orchestrator and `ldsim-server`'s cell
-/// executor use it to share one generation per benchmark across scheduler
-/// cells.
+/// still override them). The cell executor ([`crate::executor::Executor`])
+/// uses it to share one generation per benchmark across scheduler cells.
 pub fn run_one_kernel(
     kernel: &KernelProgram,
     bench: &str,

@@ -278,23 +278,23 @@ enum RowVerdict {
 /// (cellkey + engine salt) is inspected — full result validation stays
 /// where it always was, at load time against the requested cell set.
 fn classify(line: &str, history: &[&str]) -> RowVerdict {
-    if line.trim().is_empty() {
-        return RowVerdict::Torn;
-    }
     let Ok(obj) = ldsim_util::parse_object(line) else {
         return RowVerdict::Torn;
     };
-    let (Ok(key_hex), Ok(salt)) = (obj.req_str("cellkey"), obj.req_str("engine")) else {
-        return RowVerdict::Torn;
-    };
-    let Ok(key) = u64::from_str_radix(key_hex, 16) else {
+    let Some((key, salt)) = envelope(&obj) else {
         return RowVerdict::Torn;
     };
     match history.iter().position(|s| *s == salt) {
-        Some(generation) if generation <= 1 => {}
-        _ => return RowVerdict::Stale,
+        Some(generation) if generation <= 1 => RowVerdict::Keep(key),
+        _ => RowVerdict::Stale,
     }
-    RowVerdict::Keep(key)
+}
+
+/// A parsed row's envelope — its cellkey and engine salt — or `None` when
+/// either is missing or malformed (a torn row).
+pub(crate) fn envelope(row: &ldsim_util::ParsedObject) -> Option<(u64, &str)> {
+    let key = u64::from_str_radix(row.req_str("cellkey").ok()?, 16).ok()?;
+    Some((key, row.req_str("engine").ok()?))
 }
 
 #[cfg(test)]

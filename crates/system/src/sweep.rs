@@ -11,9 +11,11 @@
 //!    (a list of [`Cell`]s plus a render closure over a shared
 //!    [`CellStore`]);
 //! 2. [`run_sweep`] dedupes cells *globally across figures* by
-//!    content-addressed key, consults the crash-safe cache, generates each
-//!    distinct kernel once, and runs the remaining unique cells through one
-//!    work-stealing [`parallel_map`] pass;
+//!    content-addressed key and submits them as one batch to the cell
+//!    [`Executor`] (the same executor `ldsim-server` runs as the farm's
+//!    core), which serves valid rows from the crash-safe cache, generates
+//!    each distinct kernel once, and simulates the rest on its worker
+//!    pool;
 //! 3. each figure renders from the shared store — the same bytes whether
 //!    the store came from the whole registry or from that figure alone.
 //!
@@ -30,7 +32,9 @@
 //! already part of the key — and `sim_threads`, which changes how a cell is
 //! executed but (provably, see tests/threaded.rs) not a bit of what it
 //! computes. [`CfgTweak`] is a closed enum (not a closure) precisely so no
-//! tweak can sneak an unhashed knob past the key.
+//! tweak can sneak an unhashed knob past the key. The [`Executor`] keys
+//! every cell and runs it under one [`RunOpts`] snapshot, so a key always
+//! fingerprints the configuration that was simulated.
 //!
 //! ## Cache & resume semantics
 //!
@@ -39,19 +43,21 @@
 //! row, so a crash leaves at most one torn final line, which the loader
 //! skips). Rows are trusted only if their engine salt matches
 //! [`ENGINE_SALT`] *and* their key re-derives from a currently-requested
-//! cell — stale entries self-invalidate and simply get re-simulated. Re-running after a crash therefore resumes exactly where
-//! the sweep died, and a fully-warm run renders every figure without
-//! simulating at all.
+//! cell — stale entries self-invalidate and simply get re-simulated.
+//! Re-running after a crash therefore resumes exactly where the sweep
+//! died, and a fully-warm run renders every figure without simulating at
+//! all.
 
+use crate::executor::Executor;
 use crate::metrics::RunResult;
-use crate::runner::{run_one_kernel, run_opts, RunOpts};
-use crate::shard::ShardMap;
+use crate::runner::RunOpts;
+use crate::shard::{envelope, ShardMap};
 use ldsim_types::clock::ClockDomain;
 use ldsim_types::config::{
     CacheConfig, GpuConfig, MemConfig, PagePolicy, Preset, SchedulerKind, SimConfig, TimingParams,
 };
-use ldsim_types::kernel::KernelProgram;
-use ldsim_util::{parallel_map, Fnv64, FnvHashMap};
+use ldsim_util::{Fnv64, FnvHashMap};
+use std::convert::Infallible;
 use std::path::Path;
 
 /// Engine-version salt folded into every cell key. Bump it whenever a
@@ -198,6 +204,19 @@ impl Cell {
         h.write_u64(self.seed);
         h.write_u64(config_fingerprint(&self.config(opts)));
         h.finish()
+    }
+}
+
+/// `bfs/Gmc at Tiny seed 7`, plus the tweak when there is one: how
+/// failures and store lookups name a cell.
+impl std::fmt::Display for Cell {
+    fn fmt(&self, f: &mut std::fmt::Formatter) -> std::fmt::Result {
+        let Cell { bench, kind, .. } = self;
+        write!(f, "{bench}/{kind:?} at {:?} seed {}", self.scale, self.seed)?;
+        match self.tweak {
+            CfgTweak::None => Ok(()),
+            tweak => write!(f, " ({tweak:?})"),
+        }
     }
 }
 
@@ -392,20 +411,12 @@ impl CellStore {
         self.map.insert(cell.key(self.opts), result);
     }
 
-    pub fn contains(&self, cell: &Cell) -> bool {
-        self.map.contains_key(&cell.key(self.opts))
-    }
-
     /// Fetch a cell's result; panics naming the cell if it was never
     /// declared — a figure reading a cell outside its spec is a bug, not a
     /// recoverable condition.
     pub fn get(&self, cell: &Cell) -> &RunResult {
         self.map.get(&cell.key(self.opts)).unwrap_or_else(|| {
-            panic!(
-                "cell not in store: {}/{:?} scale {:?} seed {} tweak {:?} — \
-                 was it declared in the figure's spec?",
-                cell.bench, cell.kind, cell.scale, cell.seed, cell.tweak
-            )
+            panic!("cell not in store: {cell} — was it declared in the figure's spec?")
         })
     }
 
@@ -469,114 +480,50 @@ pub struct SweepStats {
     pub from_cache: usize,
     /// Unique cells actually simulated this run.
     pub simulated: usize,
-    /// Cache lines skipped: wrong salt, torn/corrupt, or not requested.
+    /// Cache lines not served: wrong salt, torn/corrupt, superseded by a
+    /// later append of the same key, or not requested.
     pub skipped_lines: usize,
 }
 
-/// Run every unique cell of `cells` (deduped by content-addressed key),
-/// consulting and appending to the cache per `cfg`, and return the shared
-/// store plus what happened. Panics on simulation integrity failures
-/// (dropped requests, audit violations, conservation, instruction-count
-/// mismatches).
+/// Run every unique cell of `cells` (deduped by content-addressed key) as
+/// one batch on an [`Executor`] of [`ldsim_util::jobs`] workers, serving
+/// and appending cache rows per `cfg`, and return the shared store plus
+/// what happened. Panics with the first failed cell's message on
+/// simulation integrity failures (dropped requests, audit violations,
+/// conservation, an unknown benchmark) and on instruction-count
+/// mismatches. On a failure the pool stops: running cells finish, queued
+/// ones are dropped.
 pub fn run_sweep(cells: &[Cell], cfg: &SweepConfig) -> (CellStore, SweepStats) {
-    let opts = run_opts();
-    let mut store = CellStore::new(opts);
-    let mut stats = SweepStats {
-        declared: cells.len(),
-        unique: 0,
-        from_cache: 0,
-        simulated: 0,
-        skipped_lines: 0,
-    };
-
-    // Global dedup, preserving first-declaration order for a stable,
-    // resumable work list.
-    let mut unique: Vec<Cell> = Vec::new();
-    let mut by_key: FnvHashMap<u64, Cell> = FnvHashMap::default();
-    for &cell in cells {
-        let key = cell.key(opts);
-        if by_key.insert(key, cell).is_none() {
-            unique.push(cell);
+    let store = cfg.cache_path.map(|path| ShardMap::open(path, cfg.shards));
+    // One job runs on the calling thread, as in `parallel_map`: a lone
+    // worker thread's own malloc arena measurably raises peak RSS.
+    let jobs = ldsim_util::jobs();
+    let exec = Executor::start(store, cfg.salt, if jobs > 1 { jobs } else { 0 });
+    let Ok((unique, submitted)) = exec.submit("sweep", cells, |_, _, queue| {
+        if let Some(limit) = cfg.max_simulated {
+            queue.truncate(limit);
         }
-    }
-    stats.unique = unique.len();
-
-    // Warm start: absorb every valid, currently-requested cache row.
-    let cache = cfg.cache_path.map(|path| ShardMap::open(path, cfg.shards));
-    if let Some(map) = &cache {
-        stats.skipped_lines = map
-            .shard_paths()
-            .iter()
-            .map(|p| load_cache(p, cfg.salt, &by_key, opts, &mut store))
-            .sum();
-        stats.from_cache = store.len();
-    }
-
-    let mut to_run: Vec<Cell> = unique
-        .iter()
-        .copied()
-        .filter(|c| !store.contains(c))
-        .collect();
-    if let Some(limit) = cfg.max_simulated {
-        to_run.truncate(limit);
-    }
-
-    // Generate each distinct kernel once, in parallel, then run the unique
-    // cells through one work-stealing pass sharing the kernels read-only.
-    let mut firsts: Vec<Cell> = Vec::new();
-    for c in &to_run {
-        if !firsts.iter().any(|f| f.kernel_id() == c.kernel_id()) {
-            firsts.push(*c);
-        }
-    }
-    let kernels: FnvHashMap<KernelId, KernelProgram> = firsts
-        .iter()
-        .map(Cell::kernel_id)
-        .zip(parallel_map(firsts.clone(), |c| {
-            ldsim_workloads::benchmark(c.bench, c.scale, c.seed).generate()
-        }))
-        .collect();
-
-    let salt = cfg.salt;
-    let fresh: Vec<(Cell, RunResult)> = parallel_map(to_run, |cell| {
-        let kernel = &kernels[&cell.kernel_id()];
-        let result = run_one_kernel(
-            kernel,
-            cell.bench,
-            cell.scale,
-            cell.seed,
-            cell.kind,
-            |cfg| cell.tweak.apply(cfg),
-        );
-        if let Some(map) = &cache {
-            assert!(
-                result.hists.is_none(),
-                "refusing to cache an armed-histogram run ({}/{:?}): \
-                 distributions do not round-trip through the cell cache — \
-                 run without a cache (repro --hist) instead",
-                cell.bench,
-                cell.kind
-            );
-            // ShardMap::append opens-appends-closes under the hood, so
-            // concurrent workers only contend on the OS append lock.
-            map.append(cell.key(opts), &cache_row(&cell, opts, salt, &result));
-        }
-        (cell, result)
+        Ok::<(), Infallible>(())
     });
-    stats.simulated = fresh.len();
-    for (cell, result) in fresh {
-        store.insert(&cell, result);
-    }
-
+    let outcome = exec.wait(&unique);
+    exec.shutdown();
+    let store = outcome.unwrap_or_else(|e| panic!("{e}"));
     if cfg.max_simulated.is_none() {
-        verify_instruction_consistency(&unique, &store);
+        verify_instruction_consistency(&unique, &store).unwrap_or_else(|e| panic!("{e}"));
     }
+    let stats = SweepStats {
+        declared: cells.len(),
+        unique: unique.len(),
+        from_cache: submitted.cached,
+        simulated: submitted.queued,
+        skipped_lines: exec.store_rows().1 - submitted.cached,
+    };
     (store, stats)
 }
 
-/// Serialise one completed cell as a self-describing cache line — the wire
-/// format shared by the shard store and the `ldsim-server` job results. Public so the server can persist cells it
-/// ran outside [`run_sweep`] in the identical format.
+/// Serialise one completed cell as a self-describing cache line — the
+/// shard store's row format, written by the [`Executor`] and read back by
+/// [`parse_cache_line`].
 pub fn cache_row(cell: &Cell, opts: RunOpts, salt: &str, result: &RunResult) -> String {
     let result_json = result.to_json();
     format!(
@@ -591,38 +538,10 @@ pub fn cache_row(cell: &Cell, opts: RunOpts, salt: &str, result: &RunResult) -> 
     )
 }
 
-/// Load every trustworthy cache row into the store; returns the number of
-/// lines skipped (torn, corrupt, wrong salt, or not in the requested set).
-fn load_cache(
-    path: &Path,
-    salt: &str,
-    requested: &FnvHashMap<u64, Cell>,
-    opts: RunOpts,
-    store: &mut CellStore,
-) -> usize {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return 0,
-        Err(e) => panic!("cannot read cache {}: {e}", path.display()),
-    };
-    let mut skipped = 0usize;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_cache_line(line, salt, requested, opts) {
-            Some((cell, result)) => store.insert(&cell, result),
-            None => skipped += 1,
-        }
-    }
-    skipped
-}
-
 /// Validate one cache line: parses, salt matches, its key re-derives from a
 /// requested cell, and the stored benchmark/config agree with that cell
-/// (belt and braces against key collisions and hand-edited files). Public
-/// for the same reason as [`cache_row`]: the server's dedupe path trusts a
-/// disk row only after it passes exactly this check.
+/// (belt and braces against key collisions and hand-edited files). The
+/// line is parsed once.
 pub fn parse_cache_line(
     line: &str,
     salt: &str,
@@ -630,48 +549,36 @@ pub fn parse_cache_line(
     opts: RunOpts,
 ) -> Option<(Cell, RunResult)> {
     let p = ldsim_util::parse_object(line).ok()?;
-    if p.req_str("engine").ok()? != salt {
-        return None;
-    }
-    let key = u64::from_str_radix(p.req_str("cellkey").ok()?, 16).ok()?;
-    let cell = *requested.get(&key)?;
+    let cell = *envelope(&p).and_then(|(key, s)| requested.get(&key).filter(|_| s == salt))?;
     let fingerprint = u64::from_str_radix(p.req_str("cfg").ok()?, 16).ok()?;
     if fingerprint != config_fingerprint(&cell.config(opts)) {
         return None;
     }
-    let result = RunResult::from_json(line).ok()?;
-    if result.benchmark != cell.bench {
-        return None;
-    }
-    Some((cell, result))
+    let result = RunResult::from_object(&p).ok()?;
+    (result.benchmark == cell.bench).then_some((cell, result))
 }
 
-/// The cross-scheduler invariant, applied globally: every untweaked cell
-/// of one (benchmark, scale, seed) must have retired
-/// the identical instruction count — schedulers saw the same workload under
-/// the same budget, whether the number came from the cache or a fresh run.
-fn verify_instruction_consistency(cells: &[Cell], store: &CellStore) {
+/// The cross-scheduler invariant: every untweaked cell of one (benchmark,
+/// scale, seed) must have retired the identical instruction count —
+/// schedulers saw the same workload under the same budget, whether the
+/// number came from the cache or a fresh run. `Err` names the benchmark
+/// and the two schedulers that disagree. [`run_sweep`] panics on it; the
+/// farm fails the figure or job instead.
+pub fn verify_instruction_consistency(cells: &[Cell], store: &CellStore) -> Result<(), String> {
     let mut first: FnvHashMap<KernelId, (&Cell, u64)> = FnvHashMap::default();
-    for cell in cells {
-        if cell.tweak != CfgTweak::None {
-            continue;
-        }
+    for cell in cells.iter().filter(|c| c.tweak == CfgTweak::None) {
         let n = store.get(cell).instructions;
-        match first.entry(cell.kernel_id()) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((cell, n));
-            }
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let (ref_cell, ref_n) = *e.get();
-                assert_eq!(
-                    n, ref_n,
-                    "{}: {:?} retired a different instruction count than {:?} — \
-                     schedulers did not see the same workload (stale cache?)",
-                    cell.bench, cell.kind, ref_cell.kind
-                );
-            }
+        let &mut (ref_cell, ref_n) = first.entry(cell.kernel_id()).or_insert((cell, n));
+        if n != ref_n {
+            return Err(format!(
+                "{}: {:?} retired a different instruction count than {:?} \
+                 ({n} vs {ref_n}) — schedulers did not see the same workload \
+                 (stale cache?)",
+                cell.bench, cell.kind, ref_cell.kind
+            ));
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -682,6 +589,36 @@ mod tests {
 
     fn cell(kind: SchedulerKind) -> Cell {
         Cell::new("bfs", Scale::Tiny, 7, kind)
+    }
+
+    /// A fresh cache directory, with the run options held at their
+    /// defaults for as long as the guard lives.
+    fn fresh_cache(name: &str) -> (std::sync::MutexGuard<'static, ()>, std::path::PathBuf) {
+        let guard = crate::runner::test_opts_lock();
+        set_run_opts(RunOpts::default());
+        let dir = std::env::temp_dir().join(format!("ldsim-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        (guard, dir)
+    }
+
+    /// Sweep `cells` cold into `cache`, then warm: the cold run simulates
+    /// every unique cell and writes one row each, the warm run simulates
+    /// nothing and reloads every cell byte-exact. Returns the cold run.
+    fn cold_then_warm(cells: &[Cell], cache: &Path, shards: usize) -> (CellStore, SweepStats) {
+        let cfg = SweepConfig {
+            cache_path: Some(cache),
+            shards,
+            ..SweepConfig::default()
+        };
+        let (cold, stats) = run_sweep(cells, &cfg);
+        assert_eq!((stats.from_cache, stats.simulated), (0, stats.unique));
+        assert_eq!(shard_rows(cache).len(), stats.unique, "one row per cell");
+        let (warm, wstats) = run_sweep(cells, &cfg);
+        assert_eq!((wstats.from_cache, wstats.simulated), (stats.unique, 0));
+        for c in cells {
+            assert_eq!(warm.get(c).to_json(), cold.get(c).to_json(), "warm row");
+        }
+        (cold, stats)
     }
 
     /// Every row across a cache directory's shard files, in shard order.
@@ -855,37 +792,16 @@ mod tests {
         // dimension alone must partition the cell cache — a collision would
         // serve GDDR5 numbers as HBM numbers. Pin it end to end through the
         // shard files, like the microbench/CSR partition test below.
-        let _guard = crate::runner::test_opts_lock();
-        set_run_opts(RunOpts::default());
-        let opts = RunOpts::default();
-        let dir =
-            std::env::temp_dir().join(format!("ldsim-preset-partition-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = dir.join("cellcache");
+        let (_guard, cache) = fresh_cache("preset-partition");
         let cells: Vec<Cell> = Preset::ALL
             .iter()
             .map(|&p| cell(SchedulerKind::Gmc).with_tweak(CfgTweak::Backend(p)))
             .collect();
-        let mut keys: Vec<u64> = cells.iter().map(|c| c.key(opts)).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        assert_eq!(keys.len(), cells.len(), "preset keys must be distinct");
 
-        let cfg = SweepConfig {
-            cache_path: Some(&cache),
-            ..SweepConfig::default()
-        };
-        let (store, stats) = run_sweep(&cells, &cfg);
-        assert_eq!(stats.simulated, 4, "all four backends must simulate cold");
-        assert_eq!(shard_rows(&cache).len(), 4, "one cache row per backend");
-
-        // Warm reload: each backend's row comes back under its own key.
-        let (store2, stats2) = run_sweep(&cells, &cfg);
-        assert_eq!(stats2.from_cache, 4);
-        assert_eq!(stats2.simulated, 0);
-        for c in &cells {
-            assert_eq!(store2.get(c), store.get(c), "warm row must be bit-exact");
-        }
+        // Four distinct keys, and each backend's row comes back under its
+        // own key.
+        let (store, stats) = cold_then_warm(&cells, &cache, DEFAULT_SHARDS);
+        assert_eq!(stats.unique, 4, "preset keys must be distinct");
         // And the backends genuinely differ: at least one metric moves.
         let lat: Vec<u64> = cells
             .iter()
@@ -895,43 +811,24 @@ mod tests {
             lat.windows(2).any(|w| w[0] != w[1]),
             "different DRAM backends should not produce identical latencies: {lat:?}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&cache);
     }
 
     #[test]
     fn sweep_dedupes_and_caches_across_figures() {
-        let _guard = crate::runner::test_opts_lock();
-        set_run_opts(RunOpts::default());
-        let dir = std::env::temp_dir().join(format!("ldsim-sweep-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = dir.join("cellcache");
+        let (_guard, cache) = fresh_cache("sweep-test");
         // Two "figures" sharing the bfs/Gmc cell.
         let cells = vec![
             cell(SchedulerKind::Gmc),
             cell(SchedulerKind::Wg),
             cell(SchedulerKind::Gmc), // duplicate across figures
         ];
+        let (store, stats) = cold_then_warm(&cells, &cache, DEFAULT_SHARDS);
+        assert_eq!((stats.declared, stats.unique, store.len()), (3, 2, 2));
         let cfg = SweepConfig {
             cache_path: Some(&cache),
             ..SweepConfig::default()
         };
-        let (store, stats) = run_sweep(&cells, &cfg);
-        assert_eq!(stats.declared, 3);
-        assert_eq!(stats.unique, 2);
-        assert_eq!(stats.from_cache, 0);
-        assert_eq!(stats.simulated, 2);
-        assert_eq!(store.len(), 2);
-        let cold = store.get(&cell(SchedulerKind::Gmc)).clone();
-
-        // Warm rerun: everything from cache, nothing simulated, identical
-        // result bytes.
-        let (store2, stats2) = run_sweep(&cells, &cfg);
-        assert_eq!(stats2.from_cache, 2);
-        assert_eq!(stats2.simulated, 0);
-        assert_eq!(
-            store2.get(&cell(SchedulerKind::Gmc)).to_json(),
-            cold.to_json()
-        );
 
         // A bumped salt invalidates every row (they re-simulate), and the
         // old rows survive alongside the new ones.
@@ -946,7 +843,7 @@ mod tests {
         assert!(stats3.skipped_lines >= 2);
         let (_, stats4) = run_sweep(&cells, &cfg);
         assert_eq!(stats4.from_cache, 2, "original salt rows still valid");
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&cache);
     }
 
     #[test]
@@ -956,12 +853,8 @@ mod tests {
         // fingerprint — only the bench name separates their cache keys. A
         // collision would silently serve one workload's numbers for the
         // other, so pin the partitioning end to end through the shard files.
-        let _guard = crate::runner::test_opts_lock();
-        set_run_opts(RunOpts::default());
+        let (_guard, cache) = fresh_cache("partition-test");
         let opts = RunOpts::default();
-        let dir = std::env::temp_dir().join(format!("ldsim-partition-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = dir.join("cellcache");
         let mb = Cell::new("mb_serial", Scale::Tiny, 7, SchedulerKind::Gmc);
         let csr = Cell::new("bfs", Scale::Tiny, 7, SchedulerKind::Gmc);
         assert_eq!(
@@ -971,15 +864,10 @@ mod tests {
         );
         assert_ne!(mb.key(opts), csr.key(opts), "bench name must split the key");
 
-        let cells = vec![mb, csr];
-        let cfg = SweepConfig {
-            cache_path: Some(&cache),
-            ..SweepConfig::default()
-        };
-        let (store, stats) = run_sweep(&cells, &cfg);
-        assert_eq!(stats.simulated, 2, "both cells must simulate cold");
+        // Both rows come back from cache, each under its own benchmark —
+        // no cross-serving.
+        let (store, _) = cold_then_warm(&[mb, csr], &cache, DEFAULT_SHARDS);
         let lines = shard_rows(&cache);
-        assert_eq!(lines.len(), 2, "one cache row per cell");
         for (c, name) in [(&mb, "mb_serial"), (&csr, "bfs")] {
             let key = format!("\"cellkey\":\"{:016x}\"", c.key(opts));
             let row = lines
@@ -990,27 +878,14 @@ mod tests {
                 row.contains(&format!("\"benchmark\":\"{name}\"")),
                 "row keyed for {name} must carry that benchmark's result"
             );
+            assert_eq!(store.get(c).benchmark, c.bench);
         }
-
-        // Warm reload: both rows come back from cache, each under its own
-        // benchmark — no cross-serving.
-        let (store2, stats2) = run_sweep(&cells, &cfg);
-        assert_eq!(stats2.from_cache, 2);
-        assert_eq!(stats2.simulated, 0);
-        for c in [&mb, &csr] {
-            assert_eq!(store2.get(c), store.get(c), "warm row must be bit-exact");
-            assert_eq!(store2.get(c).benchmark, c.bench);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&cache);
     }
 
     #[test]
     fn crash_resume_completes_from_partial_cache() {
-        let _guard = crate::runner::test_opts_lock();
-        set_run_opts(RunOpts::default());
-        let dir = std::env::temp_dir().join(format!("ldsim-resume-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = dir.join("cellcache");
+        let (_guard, cache) = fresh_cache("resume-test");
         let cells = vec![
             cell(SchedulerKind::Gmc),
             cell(SchedulerKind::Wg),
@@ -1054,11 +929,10 @@ mod tests {
         for c in &cells {
             assert_eq!(fresh.get(c), store.get(c), "resume must be bit-exact");
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&cache);
     }
 
     #[test]
-    #[should_panic(expected = "bfs: Wg retired a different instruction count than Gmc")]
     fn instruction_count_mismatch_names_the_benchmark() {
         // Schedulers of one (bench, scale, seed) must retire the identical
         // budget; tweaked cells may legitimately differ and are exempt.
@@ -1076,9 +950,13 @@ mod tests {
         store.insert(&other_seed, with(80));
         store.insert(&wg, with(100));
         let cells = [gmc, coalesced, other_seed, wg];
-        verify_instruction_consistency(&cells, &store);
+        assert_eq!(verify_instruction_consistency(&cells, &store), Ok(()));
         store.insert(&wg, with(101));
-        verify_instruction_consistency(&cells, &store);
+        let err = verify_instruction_consistency(&cells, &store).unwrap_err();
+        assert!(
+            err.contains("bfs: Wg retired a different instruction count than Gmc"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1118,49 +996,23 @@ mod tests {
         // every shard) must shrink the files while leaving the warm reload
         // byte-identical. This is the in-`cargo test` half of the CI
         // compaction gate.
-        let _guard = crate::runner::test_opts_lock();
-        set_run_opts(RunOpts::default());
-        let dir = std::env::temp_dir().join(format!("ldsim-sharded-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = dir.join("cellcache");
+        let (_guard, cache) = fresh_cache("sharded");
         let cells = vec![
             cell(SchedulerKind::Gmc),
             cell(SchedulerKind::Wg),
             cell(SchedulerKind::WgW),
             Cell::new("spmv", Scale::Tiny, 7, SchedulerKind::Gmc),
         ];
-        let cfg = SweepConfig {
-            cache_path: Some(&cache),
-            shards: 4,
-            ..SweepConfig::default()
-        };
-        let (store, stats) = run_sweep(&cells, &cfg);
-        assert_eq!(stats.simulated, 4);
+        let (store, _) = cold_then_warm(&cells, &cache, 4);
         let map = ShardMap::open(&cache, 4);
         assert_eq!(map.shards(), 4);
         // Rows landed in the shard their key maps to.
-        let opts = RunOpts::default();
-        let mut found = 0;
         for (i, p) in map.shard_paths().iter().enumerate() {
             for line in std::fs::read_to_string(p).unwrap_or_default().lines() {
                 let obj = ldsim_util::parse_object(line).unwrap();
                 let key = u64::from_str_radix(obj.req_str("cellkey").unwrap(), 16).unwrap();
                 assert_eq!(map.shard_of(key), i, "row in the wrong shard");
-                found += 1;
             }
-        }
-        assert_eq!(found, 4, "one row per simulated cell across the shards");
-        assert!(cells.iter().all(|c| {
-            let k = c.key(opts);
-            map.shard_of(k) < 4
-        }));
-
-        // Warm reload: everything from cache, bit-exact.
-        let (warm, wstats) = run_sweep(&cells, &cfg);
-        assert_eq!(wstats.simulated, 0);
-        assert_eq!(wstats.from_cache, 4);
-        for c in &cells {
-            assert_eq!(warm.get(c), store.get(c));
         }
 
         // Pollute every shard with a stale-salt row and a torn row, then
@@ -1186,6 +1038,10 @@ mod tests {
         assert_eq!(cstats.rows_stale, 4, "{cstats:?}");
         assert_eq!(cstats.rows_torn, 4, "{cstats:?}");
         assert!(cstats.bytes_after < polluted);
+        let cfg = SweepConfig {
+            cache_path: Some(&cache),
+            ..SweepConfig::default()
+        };
         let (compacted, cwstats) = run_sweep(&cells, &cfg);
         assert_eq!(cwstats.simulated, 0, "compaction must not lose cells");
         assert_eq!(cwstats.from_cache, 4);
@@ -1197,6 +1053,6 @@ mod tests {
                 "warm reload after compaction must be byte-exact"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&cache);
     }
 }
