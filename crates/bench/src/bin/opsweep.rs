@@ -8,15 +8,25 @@
 //! GMC in IPC but lower latency), at low utilisation queues vanish and all
 //! schedulers converge.
 
+use ldsim_bench::cli_fail;
 use ldsim_system::table::{f2, f3, pct, Table};
 use ldsim_system::Simulator;
 use ldsim_types::config::{SchedulerKind, SimConfig};
 use ldsim_types::kernel::Instruction;
-use ldsim_workloads::{benchmark, Scale};
+use ldsim_workloads::{benchmark, is_benchmark, Scale};
+
+const USAGE: &str = "opsweep [bench]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let bench = args.first().map(|s| s.as_str()).unwrap_or("spmv");
+    let bench = match args.as_slice() {
+        [] => "spmv",
+        [name] if !name.starts_with('-') => name.as_str(),
+        [.., other] => cli_fail(USAGE, &format!("unknown argument '{other}'")),
+    };
+    if !is_benchmark(bench) {
+        cli_fail(USAGE, &format!("unknown benchmark '{bench}'"));
+    }
     println!("operating-point sweep for '{bench}' (Full scale)\n");
     let mut t = Table::new(&[
         "demand factor",

@@ -47,9 +47,6 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "tiny" => scale = Scale::Tiny,
-            "small" => scale = Scale::Small,
-            "full" => scale = Scale::Full,
             "--seed" => {
                 let v = cli_value(&args, i, "--seed", USAGE);
                 seed = cli_parse(v, "--seed", "a number", USAGE);
@@ -91,7 +88,10 @@ fn main() {
             "--audit" => opts.audit = true,
             "--trace" => opts.trace = true,
             "--hist" => opts.hist = true,
-            other => cli_fail(USAGE, &format!("unknown argument '{other}'")),
+            other => match Scale::from_name(other) {
+                Some(s) => scale = s,
+                None => cli_fail(USAGE, &format!("unknown argument '{other}'")),
+            },
         }
         i += 1;
     }

@@ -2,9 +2,10 @@
 //!
 //! Every paper figure and table is a [`figures::registry`] entry run by the
 //! one `repro` binary (`repro [tiny|small|full] --only fig08`); the other
-//! binaries are tools around it (`histreport`, `opsweep`, `perfreport`,
-//! `trace`, `validate`). Results print as text tables (the same rows/series
-//! the paper plots) and are also written as JSON lines to
+//! binaries are tools around it (`histreport`, `opsweep`, `trace`,
+//! `validate`); speed is measured by the stand-alone `benchmark/` crate.
+//! Results print as text tables (the same rows/series the paper plots)
+//! and are also written as JSON lines to
 //! `results/<figure>.jsonl` — one file per figure, rewritten on every
 //! invocation and stamped with the scale and seed — for EXPERIMENTS.md
 //! provenance. When histograms are armed (`--hist`), the full bucket
@@ -77,9 +78,6 @@ pub fn cli() -> (Scale, u64) {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "tiny" => scale = Scale::Tiny,
-            "small" => scale = Scale::Small,
-            "full" => scale = Scale::Full,
             "--seed" => {
                 let v = cli_value(&args, i, "--seed", CLI_USAGE);
                 seed = cli_parse(v, "--seed", "a number", CLI_USAGE);
@@ -98,7 +96,10 @@ pub fn cli() -> (Scale, u64) {
             "--audit" => opts.audit = true,
             "--trace" => opts.trace = true,
             "--hist" => opts.hist = true,
-            other => cli_fail(CLI_USAGE, &format!("unknown argument '{other}'")),
+            other => match Scale::from_name(other) {
+                Some(s) => scale = s,
+                None => cli_fail(CLI_USAGE, &format!("unknown argument '{other}'")),
+            },
         }
         i += 1;
     }
@@ -261,35 +262,14 @@ pub fn speedup(name: &str, x: f64, base: f64) -> f64 {
     x / base
 }
 
-/// Geometric-mean speedup of `xs` over `base` (paired by index), each pair
-/// validated via [`speedup`] under the matching name.
-pub fn gmean_speedup(names: &[&str], xs: &[f64], base: &[f64]) -> f64 {
-    assert_eq!(names.len(), xs.len());
-    assert_eq!(xs.len(), base.len());
-    let ratios: Vec<f64> = names
-        .iter()
-        .zip(xs.iter().zip(base))
-        .map(|(n, (&x, &b))| speedup(n, x, b))
-        .collect();
-    ldsim_types::stats::geomean(&ratios)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn gmean_speedup_pairs() {
-        let s = gmean_speedup(&["a", "b"], &[2.0, 2.0], &[1.0, 1.0]);
-        assert!((s - 2.0).abs() < 1e-12);
-        let s = gmean_speedup(&["a", "b"], &[4.0, 1.0], &[1.0, 1.0]);
-        assert!((s - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "cfd")]
     fn zero_baseline_names_the_benchmark() {
-        gmean_speedup(&["bfs", "cfd"], &[2.0, 2.0], &[1.0, 0.0]);
+        speedup("cfd", 2.0, 0.0);
     }
 
     #[test]

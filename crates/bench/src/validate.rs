@@ -33,6 +33,7 @@
 //! checks. Everything else is the Table II default machine (GMC
 //! scheduler), with the `TimingAuditor` armed.
 
+use crate::{cli_fail, cli_value};
 use ldsim_gpu::LoadRecord;
 use ldsim_system::{RunResult, Simulator};
 use ldsim_types::analytic::AnalyticLatency;
@@ -56,14 +57,6 @@ pub struct CheckRow {
     pub hi: u64,
     pub measured: u64,
     pub pass: bool,
-}
-
-fn scale_name(s: Scale) -> &'static str {
-    match s {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Full => "full",
-    }
 }
 
 /// The validation configuration: Table II defaults + GMC, refresh off,
@@ -113,7 +106,7 @@ fn exact(
         check,
         preset: "gddr5",
         pins,
-        scale: scale_name(scale),
+        scale: scale.name(),
         lo: expect,
         hi: expect,
         measured,
@@ -134,7 +127,7 @@ fn band(
         check,
         preset: "gddr5",
         pins,
-        scale: scale_name(scale),
+        scale: scale.name(),
         lo,
         hi,
         measured,
@@ -425,17 +418,23 @@ pub fn to_jsonl(rows: &[CheckRow]) -> String {
 /// [--out DIR]`. Runs every requested scale (default: tiny), writes
 /// `DIR/validate.jsonl`, and exits non-zero if any check failed.
 pub fn standalone_main() {
+    const USAGE: &str = "validate [tiny|small|full]... [--out DIR]";
     let mut scales: Vec<Scale> = Vec::new();
     let mut out = PathBuf::from("results");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "tiny" => scales.push(Scale::Tiny),
-            "small" => scales.push(Scale::Small),
-            "full" => scales.push(Scale::Full),
-            "--out" => out = PathBuf::from(args.next().expect("--out needs a directory")),
-            other => panic!("unknown argument '{other}' (expected tiny|small|full|--out)"),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--out" => {
+                out = PathBuf::from(cli_value(&args, i, "--out", USAGE));
+                i += 1;
+            }
+            other => match Scale::from_name(other) {
+                Some(s) => scales.push(s),
+                None => cli_fail(USAGE, &format!("unknown argument '{other}'")),
+            },
         }
+        i += 1;
     }
     if scales.is_empty() {
         scales.push(Scale::Tiny);

@@ -1,11 +1,11 @@
 //! CLI error-path contract for the hand-rolled argument parsers.
 //!
 //! Bad input — a flag missing its value, a non-numeric number, an unknown
-//! flag — must produce a *named* one-line error on stderr plus the usage
-//! text and a nonzero exit, in both the `repro` orchestrator and the
-//! shared-harness binaries (exercised through `perfreport`, which parses
-//! argv before doing any work). A raw `expect` backtrace, or a silently
-//! accepted typo, fails this suite.
+//! flag or benchmark — must produce a *named* one-line error on stderr plus
+//! the usage text and a nonzero exit, in the `repro` orchestrator, the
+//! shared-harness binaries (exercised through `histreport`, which parses
+//! argv before doing any work), `trace`, `opsweep` and `validate`. A raw
+//! `expect` backtrace, or a silently accepted typo, fails this suite.
 
 use std::process::{Command, Output};
 
@@ -70,7 +70,7 @@ fn repro_rejects_bad_arguments_with_named_errors() {
 
 #[test]
 fn shared_harness_rejects_bad_arguments_with_named_errors() {
-    let bin = env!("CARGO_BIN_EXE_perfreport");
+    let bin = env!("CARGO_BIN_EXE_histreport");
     assert_cli_error(bin, &["--seed"], "--seed");
     assert_cli_error(bin, &["--seed", "eleven"], "--seed");
     assert_cli_error(bin, &["--jobs", "-2"], "--jobs");
@@ -87,6 +87,57 @@ fn trace_rejects_bad_arguments_with_named_errors() {
     assert_cli_error(bin, &["--scheduler", "wgx"], "--scheduler");
     assert_cli_error(bin, &["--threads", "nope"], "--threads");
     assert_cli_error(bin, &["--colde"], "--colde");
+    assert_cli_error(bin, &["nonsense", "tiny"], "nonsense");
+}
+
+#[test]
+fn opsweep_rejects_bad_arguments_with_named_errors() {
+    let bin = env!("CARGO_BIN_EXE_opsweep");
+    assert_cli_error(bin, &["nonsense"], "nonsense");
+    assert_cli_error(bin, &["--colde"], "--colde");
+}
+
+#[test]
+fn validate_rejects_bad_arguments_with_named_errors() {
+    let bin = env!("CARGO_BIN_EXE_validate");
+    assert_cli_error(bin, &["bogus"], "bogus");
+    assert_cli_error(bin, &["tiny", "--out"], "--out");
+    assert_cli_error(bin, &["Tiny"], "Tiny");
+}
+
+/// Run `bin` from a fresh temp directory: `trace` writes results/ relative
+/// to the cwd, and these runs must keep the repo clean.
+fn run_in_temp_cwd(bin: &str, args: &[&str]) -> Output {
+    let dir = std::env::temp_dir().join(format!(
+        "ldsim-cli-{}-{}",
+        std::process::id(),
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos()
+    ));
+    std::fs::create_dir_all(&dir).expect("create temp cwd");
+    let out = Command::new(bin)
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .unwrap_or_else(|e| panic!("cannot spawn {bin}: {e}"));
+    std::fs::remove_dir_all(&dir).ok();
+    out
+}
+
+/// `trace` takes the scheduler names `ldsim-cli` does: one name table.
+#[test]
+fn trace_accepts_the_cli_scheduler_names() {
+    let bin = env!("CARGO_BIN_EXE_trace");
+    for name in ["zero-div", "fr-fcfs", "par-bs", "atlas", "wg-s", "sbwas-25"] {
+        let out = run_in_temp_cwd(bin, &["bfs", "tiny", "--scheduler", name]);
+        assert!(
+            out.status.success(),
+            "trace must accept {name}\nstderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
 
 /// Asking for more partition threads than the machine has memory
@@ -97,23 +148,8 @@ fn trace_rejects_bad_arguments_with_named_errors() {
 #[test]
 fn oversubscribed_threads_warn_once_and_still_run() {
     let bin = env!("CARGO_BIN_EXE_trace");
-    // `trace` writes results/ relative to the cwd: keep the repo clean.
-    let dir = std::env::temp_dir().join(format!(
-        "ldsim-cli-threads-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&dir).expect("create temp cwd");
-    let out = Command::new(bin)
-        .args(["bfs", "tiny", "--threads", "99"])
-        .current_dir(&dir)
-        .output()
-        .unwrap_or_else(|e| panic!("cannot spawn {bin}: {e}"));
+    let out = run_in_temp_cwd(bin, &["bfs", "tiny", "--threads", "99"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    std::fs::remove_dir_all(&dir).ok();
     assert!(
         out.status.success(),
         "oversubscription is a warning, not an error\nstderr: {stderr}"

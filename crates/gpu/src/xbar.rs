@@ -167,14 +167,6 @@ impl<T> Crossbar<T> {
         self.flight.push_front((arrive, dst, payload));
     }
 
-    /// The earliest in-flight arrival cycle, ignoring queued (ungranted)
-    /// heads — `None` when nothing is flying. Unlike [`Self::next_event`]
-    /// this is *not* clamped to any `now`: the epoch scheduler compares it
-    /// against a window edge, not against the current cycle.
-    pub fn next_arrival(&self) -> Option<Cycle> {
-        self.flight.front().map(|&(arrive, _, _)| arrive)
-    }
-
     /// Fill `out[dst]` with the earliest in-flight arrival cycle per
     /// destination (`None` = nothing flying toward it). Queued heads are
     /// deliberately excluded: anything granted at or after the current

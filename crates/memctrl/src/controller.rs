@@ -73,31 +73,16 @@ pub struct CtrlStats {
     pub writes_done: u64,
     /// Reads serviced through the zero-divergence fast path.
     pub fast_reads: u64,
-    /// Sum / count of read latency (arrival at controller -> data done).
-    pub read_latency_sum: u64,
-    pub read_latency_cnt: u64,
     /// Write drains started.
     pub drains: u64,
     /// All-bank refreshes performed.
     pub refreshes: u64,
-    /// Cycles spent with the drain state machine engaged.
-    pub drain_cycles: u64,
     /// Warp-groups with outstanding reads when a drain started (Fig. 12).
     pub drain_stalled_groups: u64,
     /// ... of which unit-sized (one request on this channel).
     pub drain_stalled_unit: u64,
     /// ... of which partially served (orphaned requests).
     pub drain_stalled_orphan: u64,
-}
-
-impl CtrlStats {
-    pub fn avg_read_latency(&self) -> f64 {
-        if self.read_latency_cnt == 0 {
-            0.0
-        } else {
-            self.read_latency_sum as f64 / self.read_latency_cnt as f64
-        }
-    }
 }
 
 /// One memory channel's controller.
@@ -414,7 +399,6 @@ impl Controller {
         }
         self.update_drain_state();
         if self.draining {
-            self.stats.drain_cycles += 1;
             self.schedule_write_transaction();
         } else {
             self.schedule_read_transaction(now);
@@ -757,8 +741,6 @@ impl Controller {
         match req.kind {
             ReqKind::Read => {
                 self.stats.reads_done += 1;
-                self.stats.read_latency_sum += done.saturating_sub(req.arrival_cycle);
-                self.stats.read_latency_cnt += 1;
             }
             ReqKind::Write => {
                 self.stats.writes_done += 1;
@@ -810,11 +792,6 @@ impl Controller {
     /// Protocol violations the auditor has counted (0 when auditing is off).
     pub fn audit_violation_count(&self) -> u64 {
         self.channel.audit_violation_count()
-    }
-
-    /// Name of the active policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Diagnostic counters from the policy (see [`Policy::counters`]).

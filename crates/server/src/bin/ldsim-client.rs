@@ -11,6 +11,7 @@ use ldsim_bench::{cli_fail, cli_parse, cli_pos, cli_value};
 use ldsim_server::wire;
 use ldsim_system::shard::ShardMap;
 use ldsim_system::ENGINE_SALT_HISTORY;
+use ldsim_workloads::Scale;
 use std::io::{BufRead, Write as _};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -79,7 +80,7 @@ fn main() {
             }
             "--scale" => {
                 let v = cli_value(&args, i, "--scale", USAGE);
-                if ldsim_server::parse_scale(v).is_none() {
+                if Scale::from_name(v).is_none() {
                     cli_fail(
                         USAGE,
                         &format!("--scale needs tiny, small, or full, got '{v}'"),

@@ -357,16 +357,6 @@ impl Exec {
     }
 }
 
-/// Parse a wire scale name (`tiny|small|full`).
-pub fn parse_scale(s: &str) -> Option<Scale> {
-    match s {
-        "tiny" => Some(Scale::Tiny),
-        "small" => Some(Scale::Small),
-        "full" => Some(Scale::Full),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,14 +382,5 @@ mod tests {
         };
         assert_eq!(r.name(), "client_queue_full");
         assert!(r.detail().contains("'ci'"));
-    }
-
-    #[test]
-    fn parse_scale_is_the_wire_grammar() {
-        assert_eq!(parse_scale("tiny"), Some(Scale::Tiny));
-        assert_eq!(parse_scale("small"), Some(Scale::Small));
-        assert_eq!(parse_scale("full"), Some(Scale::Full));
-        assert_eq!(parse_scale("Tiny"), None, "the wire is lowercase-only");
-        assert_eq!(parse_scale(""), None);
     }
 }

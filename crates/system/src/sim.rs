@@ -1203,7 +1203,8 @@ mod tests {
 
         // Coordinating: the window is additionally bounded by coord_latency
         // (4), so the ceiling is 2 barriers/cycle -> 1 per 4 cycles = 8x;
-        // assert the >= 4x the CI gate uses.
+        // assert the >= 4x floor tests/threaded.rs applies to real
+        // workloads.
         let cfg = mk(SchedulerKind::WgW);
         let (r, s) = Simulator::new(cfg.clone(), &kernel).run_with_sync_stats();
         let (rb, sb) = Simulator::new(cfg.clone().with_epoch_max(1), &kernel).run_with_sync_stats();

@@ -31,10 +31,6 @@
 //! log2 B)) mod 2^13`. The 256 B channel-interleave block and the 13 kept
 //! row bits are fixed across presets; everything else is config.
 //!
-//! The geometry round-trips through a small spec DSL
-//! ([`AddressMapper::spec`] / [`AddressMapper::from_spec`]), e.g. the
-//! default machine is `line=128:blk=256:nch=6:nbk=16:grp=4:rowblks=8:rowbits=13`.
-//!
 //! Because the channel index is a hash-plus-modulo, the map is not
 //! injective per channel (distinct blocks can alias onto the same
 //! (channel, bank, row, col)); a timing model only needs the forward map to
@@ -188,84 +184,6 @@ impl AddressMapper {
 
     pub fn num_banks(&self) -> usize {
         self.num_banks as usize
-    }
-
-    /// Render the geometry as the canonical spec string, e.g. the Table II
-    /// machine is `line=128:blk=256:nch=6:nbk=16:grp=4:rowblks=8:rowbits=13`.
-    /// `parse(render(m)) == m` exactly ([`AddressMapper::from_spec`]).
-    pub fn spec(&self) -> String {
-        format!(
-            "line={}:blk={}:nch={}:nbk={}:grp={}:rowblks={}:rowbits={}",
-            1u64 << self.line_shift,
-            1u64 << BLOCK_SHIFT,
-            self.num_channels,
-            self.num_banks,
-            self.banks_per_group,
-            1u64 << self.bank_shift,
-            (self.row_mask + 1).trailing_zeros(),
-        )
-    }
-
-    /// Parse a spec string produced by [`AddressMapper::spec`]. All seven
-    /// keys must be present exactly once; `blk` must be 256 (the paper's
-    /// channel-interleave block is fixed) and the power-of-two keys are
-    /// validated.
-    pub fn from_spec(spec: &str) -> Result<Self, String> {
-        const KEYS: [&str; 7] = ["line", "blk", "nch", "nbk", "grp", "rowblks", "rowbits"];
-        let mut vals = [None::<u64>; 7];
-        for part in spec.split(':') {
-            let (key, val) = part
-                .split_once('=')
-                .ok_or_else(|| format!("addr spec: '{part}' is not key=value"))?;
-            let idx = KEYS
-                .iter()
-                .position(|k| *k == key)
-                .ok_or_else(|| format!("addr spec: unknown key '{key}'"))?;
-            if vals[idx].is_some() {
-                return Err(format!("addr spec: duplicate key '{key}'"));
-            }
-            let v: u64 = val
-                .parse()
-                .ok()
-                .filter(|&v| v > 0)
-                .ok_or_else(|| format!("addr spec: {key}={val} is not a positive integer"))?;
-            vals[idx] = Some(v);
-        }
-        let get = |i: usize| vals[i].ok_or_else(|| format!("addr spec: missing key '{}'", KEYS[i]));
-        let (line, blk, nch, nbk, grp, rowblks, rowbits) = (
-            get(0)?,
-            get(1)?,
-            get(2)?,
-            get(3)?,
-            get(4)?,
-            get(5)?,
-            get(6)?,
-        );
-        if blk != 1 << BLOCK_SHIFT {
-            return Err(format!("addr spec: blk={blk} must be {}", 1 << BLOCK_SHIFT));
-        }
-        for (k, v) in [("line", line), ("nbk", nbk), ("rowblks", rowblks)] {
-            if !v.is_power_of_two() {
-                return Err(format!("addr spec: {k}={v} is not a power of two"));
-            }
-        }
-        if line > blk {
-            return Err(format!("addr spec: line={line} exceeds blk={blk}"));
-        }
-        if rowbits == 0 || rowbits > 31 {
-            return Err(format!("addr spec: rowbits={rowbits} out of range"));
-        }
-        let line_shift = line.trailing_zeros();
-        Ok(Self {
-            num_channels: nch,
-            num_banks: nbk,
-            banks_per_group: grp,
-            line_shift,
-            sub_bits: BLOCK_SHIFT - line_shift,
-            bank_shift: rowblks.trailing_zeros(),
-            bank_bits: nbk.trailing_zeros(),
-            row_mask: ((1u64 << rowbits) - 1) as u32,
-        })
     }
 }
 
@@ -432,41 +350,6 @@ mod tests {
         let a = m.decode(0x40_0000);
         let b = m.decode(0x40_0080);
         assert!(a.same_row(&b));
-    }
-
-    #[test]
-    fn spec_round_trips_for_every_preset() {
-        for p in Preset::ALL {
-            let (mem, _) = p.mem_and_clock();
-            let m = AddressMapper::new(&mem, 128);
-            let spec = m.spec();
-            let m2 =
-                AddressMapper::from_spec(&spec).unwrap_or_else(|e| panic!("{}: {e}", p.name()));
-            assert_eq!(m, m2, "{} spec round trip: {spec}", p.name());
-            assert_eq!(m2.spec(), spec, "{} render not canonical", p.name());
-        }
-    }
-
-    #[test]
-    fn default_spec_is_the_documented_string() {
-        assert_eq!(
-            mapper().spec(),
-            "line=128:blk=256:nch=6:nbk=16:grp=4:rowblks=8:rowbits=13"
-        );
-    }
-
-    #[test]
-    fn spec_rejects_malformed_input() {
-        for bad in [
-            "line=128",                                                          // missing keys
-            "line=128:blk=256:nch=6:nbk=16:grp=4:rowblks=8:rowbits=13:x=1",      // unknown
-            "line=128:line=128:blk=256:nch=6:nbk=16:grp=4:rowblks=8:rowbits=13", // dup
-            "line=96:blk=256:nch=6:nbk=16:grp=4:rowblks=8:rowbits=13",           // not pow2
-            "line=128:blk=512:nch=6:nbk=16:grp=4:rowblks=8:rowbits=13",          // blk fixed
-            "line=128:blk=256:nch=0:nbk=16:grp=4:rowblks=8:rowbits=13",          // zero
-        ] {
-            assert!(AddressMapper::from_spec(bad).is_err(), "accepted: {bad}");
-        }
     }
 
     #[test]

@@ -108,12 +108,6 @@ impl TimingParams {
             t_rfc: clk.ns_to_cycles(self.t_rfc_ns),
         }
     }
-
-    /// Nanoseconds of one data burst (tBURST expressed in time): used by the
-    /// MERB derivation, which the paper performs in nanoseconds.
-    pub fn t_burst_ns(&self, clk: ClockDomain) -> f64 {
-        self.t_burst_ck as f64 * clk.tck_ns
-    }
 }
 
 /// Cache geometry.
@@ -231,7 +225,8 @@ pub struct MemConfig {
     /// Route WG-family scheduler picks through the original scan-based
     /// implementations instead of the incremental indexes (DESIGN.md §13).
     /// Bit-exact with the indexed paths by contract — this flag exists so
-    /// differential tests and `perfreport` can prove it. Off by default.
+    /// the differential tests (`tests/reference_picks.rs`) can prove it.
+    /// Off by default.
     pub reference_picks: bool,
 }
 
@@ -333,6 +328,30 @@ impl SchedulerKind {
             SchedulerKind::AtlasLite => "ATLAS",
             SchedulerKind::WgShared => "WG-S",
         }
+    }
+
+    /// Case-insensitive lookup of a command-line scheduler name: each
+    /// [`SchedulerKind::name`], with or without its hyphen, plus `sbwas-25`
+    /// and `sbwas-75` for the other profiled alphas (`sbwas` is α = 0.5).
+    pub fn from_name(name: &str) -> Option<SchedulerKind> {
+        Some(match name.to_ascii_lowercase().as_str() {
+            "fcfs" => SchedulerKind::Fcfs,
+            "fr-fcfs" | "frfcfs" => SchedulerKind::FrFcfs,
+            "gmc" => SchedulerKind::Gmc,
+            "wafcfs" => SchedulerKind::Wafcfs,
+            "sbwas" => SchedulerKind::Sbwas { alpha_q: 2 },
+            "sbwas-25" => SchedulerKind::Sbwas { alpha_q: 1 },
+            "sbwas-75" => SchedulerKind::Sbwas { alpha_q: 3 },
+            "wg" => SchedulerKind::Wg,
+            "wg-m" | "wgm" => SchedulerKind::WgM,
+            "wg-bw" | "wgbw" => SchedulerKind::WgBw,
+            "wg-w" | "wgw" => SchedulerKind::WgW,
+            "zero-div" | "zerodiv" => SchedulerKind::ZeroDivergence,
+            "par-bs" | "parbs" => SchedulerKind::ParBs,
+            "atlas" => SchedulerKind::AtlasLite,
+            "wg-s" | "wgs" => SchedulerKind::WgShared,
+            _ => return None,
+        })
     }
 
     /// Does this policy use the warp-group coordination network?
@@ -678,13 +697,6 @@ impl Preset {
         }
     }
 
-    /// Case-insensitive lookup by [`Preset::name`].
-    pub fn from_name(name: &str) -> Option<Preset> {
-        Preset::ALL
-            .into_iter()
-            .find(|p| p.name().eq_ignore_ascii_case(name))
-    }
-
     /// The committed canonical timing/topology string. These are the
     /// strings the round-trip lint pins: `render(parse(s)) == s` exactly.
     pub fn timing_string(&self) -> &'static str {
@@ -742,6 +754,33 @@ impl Preset {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scheduler_names_round_trip() {
+        for kind in [
+            SchedulerKind::Fcfs,
+            SchedulerKind::FrFcfs,
+            SchedulerKind::Gmc,
+            SchedulerKind::Wafcfs,
+            SchedulerKind::Sbwas { alpha_q: 2 },
+            SchedulerKind::Wg,
+            SchedulerKind::WgM,
+            SchedulerKind::WgBw,
+            SchedulerKind::WgW,
+            SchedulerKind::ZeroDivergence,
+            SchedulerKind::ParBs,
+            SchedulerKind::AtlasLite,
+            SchedulerKind::WgShared,
+        ] {
+            let name = kind.name().to_ascii_lowercase();
+            assert_eq!(SchedulerKind::from_name(&name), Some(kind), "{name}");
+        }
+        assert_eq!(
+            SchedulerKind::from_name("SBWAS-75"),
+            Some(SchedulerKind::Sbwas { alpha_q: 3 })
+        );
+        assert_eq!(SchedulerKind::from_name("wgx"), None);
+    }
 
     #[test]
     fn table2_timing_in_cycles() {
@@ -892,15 +931,6 @@ mod tests {
         assert!(!cfg.mem.refresh_enabled);
         assert_eq!(cfg.scheduler, SchedulerKind::WgW);
         assert_eq!(cfg.mem.num_channels, 16, "device side did switch");
-    }
-
-    #[test]
-    fn preset_names_round_trip() {
-        for p in Preset::ALL {
-            assert_eq!(Preset::from_name(p.name()), Some(p));
-            assert_eq!(Preset::from_name(&p.name().to_uppercase()), Some(p));
-        }
-        assert_eq!(Preset::from_name("ddr4"), None);
     }
 
     #[test]

@@ -23,6 +23,25 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The command-line and wire name: `tiny`, `small` or `full`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Full => "full",
+        }
+    }
+
+    /// Inverse of [`Scale::name`]; lowercase only, as the wire grammar is.
+    pub fn from_name(name: &str) -> Option<Scale> {
+        match name {
+            "tiny" => Some(Scale::Tiny),
+            "small" => Some(Scale::Small),
+            "full" => Some(Scale::Full),
+            _ => None,
+        }
+    }
+
     pub fn num_sms(&self) -> usize {
         match self {
             Scale::Tiny => 2,
@@ -61,6 +80,26 @@ pub struct BenchmarkGen {
     micro: Option<&'static crate::microbench::Microbench>,
 }
 
+/// Does `name` resolve to a benchmark (irregular, regular or calibration
+/// microbenchmark)? Front ends check this before calling [`benchmark`].
+pub fn is_benchmark(name: &str) -> bool {
+    lookup(name).is_some()
+}
+
+/// The one name-resolution rule: calibration microbenchmarks (`mb_*`)
+/// first, then the irregular/regular profile registry.
+fn lookup(
+    name: &str,
+) -> Option<(
+    &'static BenchProfile,
+    Option<&'static crate::microbench::Microbench>,
+)> {
+    if let Some(mb) = crate::microbench::find(name) {
+        return Some((&mb.profile, Some(mb)));
+    }
+    find(name).map(|profile| (profile, None))
+}
+
 /// Look up `name` and bind it to a scale and seed. Calibration
 /// microbenchmarks (`mb_*`, see [`crate::microbench`]) resolve here too,
 /// so the sweep/figure machinery treats them like any benchmark.
@@ -78,23 +117,13 @@ pub fn benchmark(name: &str, scale: Scale, seed: u64) -> BenchmarkGen {
 /// they do. Sweep cells deliberately do *not* — a sweep compares backends
 /// on one fixed address stream, keyed by (bench, scale, seed).
 pub fn benchmark_with_mem(name: &str, scale: Scale, seed: u64, mem: &MemConfig) -> BenchmarkGen {
-    let mapper = AddressMapper::new(mem, 128);
-    if let Some(mb) = crate::microbench::find(name) {
-        return BenchmarkGen {
-            profile: &mb.profile,
-            scale,
-            seed,
-            mapper,
-            micro: Some(mb),
-        };
-    }
-    let profile = find(name).unwrap_or_else(|| panic!("unknown benchmark '{name}'"));
+    let (profile, micro) = lookup(name).unwrap_or_else(|| panic!("unknown benchmark '{name}'"));
     BenchmarkGen {
         profile,
         scale,
         seed,
-        mapper,
-        micro: None,
+        mapper: AddressMapper::new(mem, 128),
+        micro,
     }
 }
 
@@ -323,6 +352,18 @@ mod tests {
     use super::*;
     use ldsim_types::addr::AddressMapper;
     use ldsim_types::config::MemConfig;
+
+    #[test]
+    fn scale_names_round_trip() {
+        for s in [Scale::Tiny, Scale::Small, Scale::Full] {
+            assert_eq!(Scale::from_name(&s.name().to_ascii_lowercase()), Some(s));
+        }
+        assert_eq!(Scale::from_name("small"), Some(Scale::Small));
+        assert_eq!(Scale::from_name("full"), Some(Scale::Full));
+        assert_eq!(Scale::from_name("Tiny"), None, "the wire is lowercase-only");
+        assert_eq!(Scale::from_name(""), None);
+        assert!(is_benchmark("bfs") && is_benchmark("mb_serial") && !is_benchmark("nonsense"));
+    }
 
     #[test]
     fn generation_is_deterministic() {

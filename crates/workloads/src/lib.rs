@@ -24,6 +24,6 @@ pub mod gen;
 pub mod microbench;
 pub mod profile;
 
-pub use gen::{benchmark, benchmark_with_mem, BenchmarkGen, Scale};
+pub use gen::{benchmark, benchmark_with_mem, is_benchmark, BenchmarkGen, Scale};
 pub use microbench::{Microbench, MICROBENCHES};
 pub use profile::{BenchProfile, IRREGULAR, REGULAR};

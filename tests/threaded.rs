@@ -142,35 +142,82 @@ fn epoch_cadences_are_bit_exact_tiny() {
     );
 }
 
-/// The point of the epochs, pinned end to end on a real workload: against
+/// The busy irregular benchmarks: long enough at Tiny for the epoch
+/// windows and the instruction budget to both come into play.
+const BUSY: &[&str] = &["sp", "kmeans", "spmv", "sssp", "bfs"];
+
+/// The point of the epochs, pinned end to end on real workloads: against
 /// the forced per-cycle cadence, the auto window must cut barrier count by
 /// an order of magnitude for a non-coordinating scheduler (40-cycle
 /// crossbar lookahead) and by at least 4x for a coordinating one (whose
 /// window is clamped to the 4-cycle coordination latency, against a
-/// per-cycle cost of two barriers per cycle).
+/// per-cycle cost of two barriers per cycle). Barrier counts are
+/// deterministic, so these are hard per-benchmark floors on every busy
+/// irregular benchmark, not wall-clock bands.
 #[test]
 fn epoch_windows_reduce_barriers_on_real_workloads() {
-    for (kind, factor) in [(SchedulerKind::Gmc, 10), (SchedulerKind::WgW, 4)] {
-        let kernel = benchmark("bfs", Scale::Tiny, 11).generate();
-        let cfg = SimConfig::default()
-            .with_scheduler(kind)
-            .with_sim_threads(2);
-        let (r_epoch, epoch) = Simulator::new(cfg.clone(), &kernel).run_with_sync_stats();
-        let (r_cycle, cycle) =
-            Simulator::new(cfg.clone().with_epoch_max(1), &kernel).run_with_sync_stats();
-        assert_eq!(r_epoch, r_cycle, "{kind:?}: cadences must agree exactly");
-        assert!(epoch.windows > 0, "{kind:?}: epochs never engaged");
-        assert_eq!(
-            cycle.windows, 0,
-            "{kind:?}: epoch_max=1 must stay per-cycle"
-        );
-        assert!(
-            cycle.barriers >= factor * epoch.barriers,
-            "{kind:?}: expected a {factor}x barrier cut, got {} vs {}",
-            cycle.barriers,
-            epoch.barriers
-        );
+    let mut cases = vec![("bfs", 11)];
+    cases.extend(BUSY.iter().map(|&b| (b, 1)));
+    let cuts = parallel_map(cases, |(bench, seed)| {
+        let kernel = benchmark(bench, Scale::Tiny, seed).generate();
+        let mut lines = Vec::new();
+        for (kind, factor) in [(SchedulerKind::Gmc, 10), (SchedulerKind::WgW, 4)] {
+            let cfg = SimConfig::default()
+                .with_scheduler(kind)
+                .with_sim_threads(2);
+            let (r_epoch, epoch) = Simulator::new(cfg.clone(), &kernel).run_with_sync_stats();
+            let (r_cycle, cycle) =
+                Simulator::new(cfg.clone().with_epoch_max(1), &kernel).run_with_sync_stats();
+            let at = format!("{bench}/{kind:?} seed {seed}");
+            assert_eq!(r_epoch, r_cycle, "{at}: cadences must agree exactly");
+            assert!(epoch.windows > 0, "{at}: epochs never engaged");
+            assert_eq!(cycle.windows, 0, "{at}: epoch_max=1 must stay per-cycle");
+            assert!(
+                cycle.barriers >= factor * epoch.barriers,
+                "{at}: expected a {factor}x barrier cut, got {} vs {}",
+                cycle.barriers,
+                epoch.barriers
+            );
+            lines.push(format!(
+                "{at}: {:.2}x barrier cut, mean window {:.1} cycles",
+                cycle.barriers as f64 / epoch.barriers as f64,
+                epoch.epoch_cycles as f64 / epoch.windows as f64
+            ));
+        }
+        lines
+    });
+    for line in cuts.concat() {
+        println!("{line}");
     }
+}
+
+/// The epoch window's instruction-budget lookahead must stop a threaded
+/// run exactly where the serial loop stops: under the 70% budget the
+/// sweeps use, a 2-thread pool with the auto window reproduces the serial
+/// `RunResult` on every busy benchmark, for a non-coordinating (GMC) and a
+/// coordinating (WG-W) scheduler. The budget must bind before the kernel
+/// ends and the epochs must engage, or the test would check neither.
+#[test]
+fn budgeted_threaded_runs_match_serial() {
+    parallel_map(BUSY.to_vec(), |bench| {
+        let kernel = benchmark(bench, Scale::Tiny, 1).generate();
+        let limit = kernel.total_instructions() * 7 / 10;
+        for kind in [SchedulerKind::Gmc, SchedulerKind::WgW] {
+            let mut cfg = SimConfig::default().with_scheduler(kind);
+            cfg.instruction_limit = Some(limit);
+            let serial = Simulator::new(cfg.clone().with_sim_threads(1), &kernel).run();
+            let (threaded, sync) =
+                Simulator::new(cfg.with_sim_threads(2), &kernel).run_with_sync_stats();
+            let at = format!("{bench}/{kind:?} budget {limit}");
+            assert!(serial.finished, "{at}: serial run did not finish");
+            assert!(
+                serial.instructions < kernel.total_instructions(),
+                "{at}: the budget never bound"
+            );
+            assert!(sync.windows > 0, "{at}: epochs never engaged");
+            assert_eq!(threaded, serial, "{at}: threaded run diverged from serial");
+        }
+    });
 }
 
 /// `sim_threads` must not enter the cell fingerprint: it changes how a
